@@ -5,9 +5,12 @@
 //! plus a raw tuple-vs-bindings executor comparison on the query's
 //! condition shape. A scratch tool for perf work:
 //! `cargo run --release --bin profile_pipeline`. Set
-//! `CARL_PROFILE_GROUND=1` / `CARL_PROFILE_PREPARE=1` to additionally
-//! print the grounding-phase and prepare-stage splits from inside the
-//! engine.
+//! `CARL_PROFILE_GROUND=1` to additionally print the grounding-phase
+//! split from inside the engine. For the prepare stages after grounding
+//! (peers, covariates, unit table) run the benchmark with its trace on:
+//! `cargo run --offline --release --manifest-path carlbench/Cargo.toml --
+//! --workload review-read --seed 1 --seconds 10 --trace 1` reports them as
+//! `peers.ms`, `adjust.covariates_ms` and `unit_table.build_ms`.
 
 use carl::{CarlEngine, GroundingMode};
 use carl_datagen::{generate_synthetic_review, SyntheticReviewConfig};

@@ -14,40 +14,109 @@
 //! The verifier in [`crate::dsep`] can be used to confirm that the selected
 //! set satisfies the conditional independence of Equation (29).
 
-use crate::graph::GroundedAttr;
 use crate::ground::GroundedValues;
 use crate::model::RelationalCausalModel;
-use crate::peers::PeerMap;
+use crate::peers::{same_units, PeerMap};
 use reldb::{Instance, UnitKey};
-use std::collections::{BTreeMap, BTreeSet};
-
-/// The covariate values collected for one unit, grouped by attribute name.
-#[derive(Debug, Clone, Default)]
-pub struct UnitCovariates {
-    /// Observed parents of the unit's own treatment, by attribute.
-    pub own: BTreeMap<String, Vec<f64>>,
-    /// Observed parents of the peers' treatments, by attribute.
-    pub peer: BTreeMap<String, Vec<f64>>,
-}
+use std::sync::Arc;
 
 /// The full adjustment specification for a query: which covariate attributes
-/// appear (so the unit table has a consistent column set) and the per-unit
-/// values.
+/// appear (so the unit table has a consistent column set) and, per unit, the
+/// observed parents of its treatment.
+///
+/// The per-unit values form one CSR (compressed sparse row) table: a flat
+/// array of `(attribute index, value)` entries plus per-unit offsets, where
+/// the attribute index points into [`AdjustmentPlan::own_attributes`] and a
+/// unit's entries keep graph parent order. The fields are private because
+/// the attribute names and the entries' indices must stay consistent. A unit's *peer* covariates are
+/// the entries of its peers' rows, read through the [`PeerMap`] the plan was
+/// built with (see [`AdjustmentPlan::peer_values`]), so they are stored once.
 #[derive(Debug, Clone, Default)]
 pub struct AdjustmentPlan {
     /// Attribute names of own covariates, sorted.
-    pub own_attributes: Vec<String>,
+    own_attributes: Vec<String>,
     /// Attribute names of peer covariates, sorted.
-    pub peer_attributes: Vec<String>,
-    /// Per-unit covariate values.
-    pub per_unit: BTreeMap<UnitKey, UnitCovariates>,
+    peer_attributes: Vec<String>,
+    units: Arc<[UnitKey]>,
+    /// `offsets[i]..offsets[i + 1]` is unit `i`'s range of `entries`.
+    offsets: Vec<usize>,
+    entries: Vec<(u32, f64)>,
+}
+
+impl AdjustmentPlan {
+    /// The units this plan was built over, in row order.
+    pub fn units(&self) -> &[UnitKey] {
+        &self.units
+    }
+
+    /// Attribute names of own covariates, sorted. An entry's attribute
+    /// index points into this list.
+    pub fn own_attributes(&self) -> &[String] {
+        &self.own_attributes
+    }
+
+    /// Attribute names of peer covariates (those with a value in the row of
+    /// some peer), sorted.
+    pub fn peer_attributes(&self) -> &[String] {
+        &self.peer_attributes
+    }
+
+    /// The observed treatment parents of the unit in row `unit`, as
+    /// `(index into own_attributes, value)` in graph parent order.
+    pub fn own(&self, unit: usize) -> &[(u32, f64)] {
+        &self.entries[self.offsets[unit]..self.offsets[unit + 1]]
+    }
+
+    /// Append the values of attribute slot `slot` in row `unit` to `out`.
+    pub(crate) fn extend_values(&self, unit: usize, slot: u32, out: &mut Vec<f64>) {
+        out.extend(
+            self.own(unit)
+                .iter()
+                .filter(|&&(s, _)| s == slot)
+                .map(|&(_, v)| v),
+        );
+    }
+
+    /// The slot of attribute `attr` (its index in `own_attributes`), or
+    /// `u32::MAX`, which matches no entry, when it is not a covariate.
+    pub(crate) fn slot_of(&self, attr: &str) -> u32 {
+        self.own_attributes
+            .binary_search_by(|a| a.as_str().cmp(attr))
+            .map_or(u32::MAX, to_slot)
+    }
+
+    /// The own covariate values of attribute `attr` for row `unit`.
+    pub fn own_values(&self, unit: usize, attr: &str) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.extend_values(unit, self.slot_of(attr), &mut out);
+        out
+    }
+
+    /// The peer covariate values of attribute `attr` for row `unit`: its
+    /// peers' own values, peer by peer in `peers` order.
+    pub fn peer_values(&self, peers: &PeerMap, unit: usize, attr: &str) -> Vec<f64> {
+        let slot = self.slot_of(attr);
+        let mut out = Vec::new();
+        for &p in peers.peers_of(unit) {
+            self.extend_values(p as usize, slot, &mut out);
+        }
+        out
+    }
+}
+
+/// A covariate attribute's `u32` slot (plans stay small: one slot per
+/// attribute of the model).
+fn to_slot(index: usize) -> u32 {
+    u32::try_from(index).expect("attribute count fits u32")
 }
 
 /// Compute the adjustment plan for all `units`, given the peer map.
 ///
 /// Only *observed* attributes (per the model) are eligible covariates, as
 /// required by Theorem 5.2 (`Z` ranges over groundings of `A_Obs`).
-/// The treatment attribute itself is never a covariate.
+/// The treatment attribute itself is never a covariate. A `peers` map built
+/// over a different unit list contributes no peer covariates; the unit
+/// table rejects such a combination.
 pub fn covariates<G: GroundedValues>(
     model: &RelationalCausalModel,
     grounded: &G,
@@ -57,73 +126,88 @@ pub fn covariates<G: GroundedValues>(
     peers: &PeerMap,
 ) -> AdjustmentPlan {
     let graph = grounded.graph();
-    let mut plan = AdjustmentPlan::default();
-    let mut own_attrs: BTreeSet<String> = BTreeSet::new();
-    let mut peer_attrs: BTreeSet<String> = BTreeSet::new();
 
-    // The observed parents of one unit's treatment node, in graph parent
-    // order. Computed once per unit: a unit's list is reused for its own
-    // covariates and for every unit it is a peer of.
-    let mut lookup = GroundedAttr::new(treatment_attr, Vec::new());
-    let parents_of = |lookup: &mut GroundedAttr, unit: &UnitKey| -> Vec<(String, f64)> {
-        lookup.key.clear();
-        lookup.key.extend_from_slice(unit);
-        let Some(id) = graph.node_id(lookup) else {
-            return Vec::new();
-        };
-        graph
-            .parents_of(id)
-            .iter()
-            .filter_map(|&pid| {
+    // Parent attributes in first-seen order, each flagged eligible or not;
+    // entries carry the first-seen slot until the names are sorted below.
+    let mut seen: Vec<(&str, bool)> = Vec::new();
+    let mut offsets = Vec::with_capacity(units.len() + 1);
+    let mut entries: Vec<(u32, f64)> = Vec::new();
+    offsets.push(0);
+    for unit in units {
+        if let Some(id) = grounded.node_of(treatment_attr, unit) {
+            for &pid in graph.parents_of(id) {
                 let parent = graph.node(pid);
-                if parent.attr == treatment_attr || !model.is_observed(&parent.attr) {
-                    return None;
-                }
-                grounded
-                    .value_of(instance, parent)
-                    .map(|v| (parent.attr.clone(), v))
-            })
-            .collect()
-    };
-    let unit_index: std::collections::HashMap<&UnitKey, usize> =
-        units.iter().enumerate().map(|(i, u)| (u, i)).collect();
-    let memo: Vec<Vec<(String, f64)>> = units.iter().map(|u| parents_of(&mut lookup, u)).collect();
-    let append = |list: &[(String, f64)],
-                  out: &mut BTreeMap<String, Vec<f64>>,
-                  attrs: &mut BTreeSet<String>| {
-        for (attr, v) in list {
-            out.entry(attr.clone()).or_default().push(*v);
-            if !attrs.contains(attr) {
-                attrs.insert(attr.clone());
-            }
-        }
-    };
-
-    for (i, unit) in units.iter().enumerate() {
-        let mut cov = UnitCovariates::default();
-        append(&memo[i], &mut cov.own, &mut own_attrs);
-        if let Some(unit_peers) = peers.get(unit) {
-            for p in unit_peers {
-                match unit_index.get(p) {
-                    // Peers are normally units themselves: reuse the memo.
-                    Some(&pi) => append(&memo[pi], &mut cov.peer, &mut peer_attrs),
+                let slot = match seen.iter().position(|&(name, _)| name == parent.attr) {
+                    Some(slot) => slot,
                     None => {
-                        let list = parents_of(&mut lookup, p);
-                        append(&list, &mut cov.peer, &mut peer_attrs);
+                        let eligible =
+                            parent.attr != treatment_attr && model.is_observed(&parent.attr);
+                        seen.push((&parent.attr, eligible));
+                        seen.len() - 1
                     }
+                };
+                if !seen[slot].1 {
+                    continue;
+                }
+                if let Some(v) = grounded.value_of(instance, parent) {
+                    entries.push((to_slot(slot), v));
                 }
             }
         }
-        plan.per_unit.insert(unit.clone(), cov);
+        offsets.push(entries.len());
     }
-    plan.own_attributes = own_attrs.into_iter().collect();
-    plan.peer_attributes = peer_attrs.into_iter().collect();
-    plan
+
+    // Own covariate attributes are those with a value in some row; peer
+    // covariate attributes those with a value in the row of some peer.
+    let mut own_used = vec![false; seen.len()];
+    for &(slot, _) in &entries {
+        own_used[slot as usize] = true;
+    }
+    let mut peer_used = vec![false; seen.len()];
+    let shared = same_units(units, peers.units());
+    if shared {
+        let mut is_peer = vec![false; units.len()];
+        for &p in peers.values().flatten() {
+            is_peer[p as usize] = true;
+        }
+        for unit in (0..units.len()).filter(|&u| is_peer[u]) {
+            for &(slot, _) in &entries[offsets[unit]..offsets[unit + 1]] {
+                peer_used[slot as usize] = true;
+            }
+        }
+    }
+
+    // Renumber slots into sorted attribute-name order.
+    let mut order: Vec<usize> = (0..seen.len()).filter(|&s| own_used[s]).collect();
+    order.sort_by_key(|&s| seen[s].0);
+    let mut renumber = vec![u32::MAX; seen.len()];
+    for (sorted, &s) in order.iter().enumerate() {
+        renumber[s] = to_slot(sorted);
+    }
+    for entry in &mut entries {
+        entry.0 = renumber[entry.0 as usize];
+    }
+    AdjustmentPlan {
+        own_attributes: order.iter().map(|&s| seen[s].0.to_string()).collect(),
+        peer_attributes: order
+            .iter()
+            .filter(|&&s| peer_used[s])
+            .map(|&s| seen[s].0.to_string())
+            .collect(),
+        units: if shared {
+            Arc::clone(peers.shared_units())
+        } else {
+            units.into()
+        },
+        offsets,
+        entries,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::GroundedAttr;
     use crate::ground::{ground, GroundedModel};
     use crate::peers::compute_peers;
     use carl_lang::parse_program;
@@ -158,18 +242,19 @@ mod tests {
         let plan = covariates(&model, &grounded, &instance, "Prestige", &units, &peers);
 
         // The only parent of Prestige[A] is Qualification[A], which is observed.
-        assert_eq!(plan.own_attributes, vec!["Qualification".to_string()]);
-        assert_eq!(plan.peer_attributes, vec!["Qualification".to_string()]);
+        assert_eq!(plan.own_attributes(), ["Qualification"]);
+        assert_eq!(plan.peer_attributes(), ["Qualification"]);
 
-        let bob = &plan.per_unit[&vec![Value::from("Bob")]];
-        assert_eq!(bob.own["Qualification"], vec![50.0]);
+        // Rows follow `units`: Bob 0, Carlos 1, Eva 2.
+        assert_eq!(plan.units(), units.as_slice());
+        assert_eq!(plan.own(0), [(0, 50.0)]);
+        assert_eq!(plan.own_values(0, "Qualification"), vec![50.0]);
         // Bob's only peer is Eva (h-index 2): matches Table 1's
         // "embedded collaborators' covariates".
-        assert_eq!(bob.peer["Qualification"], vec![2.0]);
+        assert_eq!(plan.peer_values(&peers, 0, "Qualification"), vec![2.0]);
 
-        let eva = &plan.per_unit[&vec![Value::from("Eva")]];
-        assert_eq!(eva.own["Qualification"], vec![2.0]);
-        let mut evas_peer_quals = eva.peer["Qualification"].clone();
+        assert_eq!(plan.own_values(2, "Qualification"), vec![2.0]);
+        let mut evas_peer_quals = plan.peer_values(&peers, 2, "Qualification");
         evas_peer_quals.sort_by(f64::total_cmp);
         assert_eq!(evas_peer_quals, vec![20.0, 50.0]);
     }
@@ -186,8 +271,8 @@ mod tests {
         let units: Vec<UnitKey> = vec![vec![Value::from("Bob")]];
         let peers = compute_peers(&grounded, "Prestige", "AVG_Score", &units);
         let plan = covariates(&model, &grounded, &instance, "Prestige", &units, &peers);
-        assert!(!plan.own_attributes.contains(&"Quality".to_string()));
-        assert!(!plan.peer_attributes.contains(&"Quality".to_string()));
+        assert!(!plan.own_attributes().contains(&"Quality".to_string()));
+        assert!(!plan.peer_attributes().contains(&"Quality".to_string()));
     }
 
     #[test]
@@ -196,10 +281,9 @@ mod tests {
         let units: Vec<UnitKey> = vec![vec![Value::from("Nobody")]];
         let peers = compute_peers(&grounded, "Prestige", "AVG_Score", &units);
         let plan = covariates(&model, &grounded, &instance, "Prestige", &units, &peers);
-        let cov = &plan.per_unit[&vec![Value::from("Nobody")]];
-        assert!(cov.own.is_empty());
-        assert!(cov.peer.is_empty());
-        assert!(plan.own_attributes.is_empty());
+        assert!(plan.own(0).is_empty());
+        assert!(plan.peer_values(&peers, 0, "Qualification").is_empty());
+        assert!(plan.own_attributes().is_empty());
     }
 
     #[test]

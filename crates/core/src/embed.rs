@@ -53,6 +53,14 @@ impl EmbeddingKind {
     /// Empty sets embed to all-zero summaries (with count 0) or to a fully
     /// padded vector, so units without peers remain representable.
     pub fn embed(&self, values: &[f64]) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.dim());
+        self.embed_into(values, &mut out);
+        out
+    }
+
+    /// [`EmbeddingKind::embed`], appending to `out` instead of allocating:
+    /// the unit table embeds several value sets per row into one buffer.
+    pub fn embed_into(&self, values: &[f64], out: &mut Vec<f64>) {
         match self {
             EmbeddingKind::Mean => {
                 let mean = if values.is_empty() {
@@ -60,7 +68,7 @@ impl EmbeddingKind {
                 } else {
                     values.iter().sum::<f64>() / values.len() as f64
                 };
-                vec![mean, values.len() as f64]
+                out.extend([mean, values.len() as f64]);
             }
             EmbeddingKind::Median => {
                 let med = if values.is_empty() {
@@ -68,19 +76,16 @@ impl EmbeddingKind {
                 } else {
                     quantile(values, 0.5)
                 };
-                vec![med, values.len() as f64]
+                out.extend([med, values.len() as f64]);
             }
             EmbeddingKind::Moments(k) => {
-                let mut v = moments(values, *k);
-                v.push(values.len() as f64);
-                v
+                out.extend(moments(values, *k));
+                out.push(values.len() as f64);
             }
             EmbeddingKind::Padding(width) => {
-                let mut v: Vec<f64> = values.iter().copied().take(*width).collect();
-                while v.len() < *width {
-                    v.push(PADDING_MARKER);
-                }
-                v
+                out.extend(values.iter().copied().take(*width));
+                let padded = width.saturating_sub(values.len());
+                out.extend(std::iter::repeat_n(PADDING_MARKER, padded));
             }
         }
     }

@@ -38,7 +38,8 @@ use crate::paths::unify;
 use crate::peers::{compute_peers, compute_peers_streamed, PeerMap};
 use crate::query::{conditional_ate, estimate_ate, estimate_peer_effects, CateStratifier};
 use crate::rowwise::{
-    build_row_unit_table, estimate_ate_rowwise, estimate_peer_effects_rowwise, RowUnitTable,
+    build_row_unit_table, compute_peers_rowwise, covariates_rowwise, estimate_ate_rowwise,
+    estimate_peer_effects_rowwise, RowPeerMap, RowUnitTable, RowUnitTableSpec,
 };
 use crate::unit_table::{build_unit_table, UnitTable, UnitTableSpec};
 use carl_lang::{
@@ -49,15 +50,9 @@ use reldb::{
     evaluate_tuples_filtered, DeltaSet, IndexCache, IndexCacheStats, Instance, PlanCacheStats,
     UnitKey,
 };
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
-
-/// Whether `CARL_PROFILE_PREPARE` stage timings are enabled (cached —
-/// see [`crate::ground::env_flag`]).
-fn profile_prepare() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    crate::ground::env_flag("CARL_PROFILE_PREPARE", &FLAG)
-}
 
 /// Which grounding pipeline query answering runs on.
 ///
@@ -129,8 +124,8 @@ pub struct PreparedQuery {
 pub struct RowPreparedQuery {
     /// The row-built unit table of the seed implementation.
     pub unit_table: RowUnitTable,
-    /// Relational peers of every unit.
-    pub peers: PeerMap,
+    /// Relational peers of every unit, keyed by unit.
+    pub peers: RowPeerMap,
     /// The treatment attribute name.
     pub treatment_attr: String,
     /// The (possibly unified) response attribute name.
@@ -256,17 +251,16 @@ enum CachedGrounding {
 /// different instance can never produce a stale hit.
 type GroundingCache = Mutex<HashMap<(String, u64), CachedGrounding>>;
 
-/// Everything `prepare` computes before the unit table is built, shared by
-/// the columnar and the row-wise (differential-reference) paths.
-struct PreparedInputs {
+/// Everything `prepare` computes before peers, shared by the dense and the
+/// row-wise (differential-reference) paths.
+struct PreparedInputs<'a> {
+    /// The effective model (base program plus any synthesised aggregate).
+    model: Cow<'a, RelationalCausalModel>,
     grounded: QueryGrounding,
     treatment_attr: String,
     response_attr: String,
     units: Vec<UnitKey>,
     allowed_units: Option<HashSet<UnitKey>>,
-    peers: PeerMap,
-    adjustment: AdjustmentPlan,
-    embedding: EmbeddingKind,
 }
 
 /// The end-to-end CaRL engine.
@@ -738,18 +732,16 @@ impl CarlEngine {
         self.lock_grounding_cache().len()
     }
 
-    /// Steps 1–6 of `prepare` up to (but excluding) unit-table
-    /// construction, shared by the columnar and row-wise paths.
+    /// Steps 1–4 of `prepare`, up to (but excluding) peers, shared by the
+    /// dense and row-wise paths.
     fn prepare_inputs(
         &self,
         query: &CausalQuery,
         grounding: Grounding,
-    ) -> CarlResult<PreparedInputs> {
+    ) -> CarlResult<PreparedInputs<'_>> {
         // 1. Unify treated and response units (§4.3), possibly synthesising
         //    an aggregate rule that also folds in the query's restriction.
-        let t_unify = std::time::Instant::now();
         let plan = unify(&self.model, query)?;
-        let t_model = std::time::Instant::now();
 
         // 2. Build the effective model (base + synthesised rule) and ground
         //    it (through the grounding cache unless told otherwise).
@@ -758,23 +750,12 @@ impl CarlEngine {
             program.aggregates.push(rule.clone());
             let model = RelationalCausalModel::new(self.instance.schema().clone(), program)?;
             let grounded = self.grounded_for(&model, Some(rule), grounding)?;
-            (model, grounded)
+            (Cow::Owned(model), grounded)
         } else {
             let grounded = self.grounded_for(&self.model, None, grounding)?;
-            (self.model.clone(), grounded)
+            (Cow::Borrowed(&self.model), grounded)
         };
 
-        let treatment_attr = query.treatment.attr.clone();
-        let response_attr = plan.response_attr.clone();
-
-        let t_ground = std::time::Instant::now();
-        if profile_prepare() {
-            eprintln!(
-                "prepare: unify {:.2}ms model+ground {:.2}ms",
-                (t_model - t_unify).as_secs_f64() * 1e3,
-                (t_ground - t_model).as_secs_f64() * 1e3
-            );
-        }
         // 3. Units of analysis: groundings of the treatment's subject class.
         let units = self
             .instance
@@ -791,57 +772,23 @@ impl CarlEngine {
             self.allowed_units(query)?
         };
 
-        let t_units = std::time::Instant::now();
-        // 5. Relational peers and covariates. When the response is a
-        //    streamed aggregate extension, its (virtual, leaf) response
-        //    vertices are answered from the group source lists instead of
-        //    a materialised graph walk.
-        let peers = match &grounded {
-            QueryGrounding::Extended { base, ext } => {
-                compute_peers_streamed(base, ext, &treatment_attr, &units, &self.instance)
-            }
-            QueryGrounding::Full(_) => {
-                compute_peers(&grounded, &treatment_attr, &response_attr, &units)
-            }
-        };
-        let t_peers = std::time::Instant::now();
-        let adjustment = covariates(
-            &model,
-            &grounded,
-            &self.instance,
-            &treatment_attr,
-            &units,
-            &peers,
-        );
-
-        let t_cov = std::time::Instant::now();
-        if profile_prepare() {
-            eprintln!(
-                "prepare: units+allowed {:.2}ms peers {:.2}ms covariates {:.2}ms",
-                (t_units - t_ground).as_secs_f64() * 1e3,
-                (t_peers - t_units).as_secs_f64() * 1e3,
-                (t_cov - t_peers).as_secs_f64() * 1e3
-            );
-        }
-        // 6. Embedding (auto-size padding if requested).
-        let embedding = match self.embedding {
-            EmbeddingKind::Padding(0) => {
-                let max_peers = peers.values().map(Vec::len).max().unwrap_or(0).max(1);
-                EmbeddingKind::Padding(max_peers)
-            }
-            other => other,
-        };
-
         Ok(PreparedInputs {
+            model,
             grounded,
-            treatment_attr,
-            response_attr,
+            treatment_attr: query.treatment.attr.clone(),
+            response_attr: plan.response_attr,
             units,
             allowed_units,
-            peers,
-            adjustment,
-            embedding,
         })
+    }
+
+    /// The engine's embedding, with `Padding(0)` auto-sized to the widest
+    /// peer set (at least 1).
+    fn embedding_for(&self, max_peers: usize) -> EmbeddingKind {
+        match self.embedding {
+            EmbeddingKind::Padding(0) => EmbeddingKind::Padding(max_peers.max(1)),
+            other => other,
+        }
     }
 
     /// Prepare a parsed query: unify, ground (through the grounding cache),
@@ -869,58 +816,101 @@ impl CarlEngine {
 
     fn prepare_with(&self, query: &CausalQuery, grounding: Grounding) -> CarlResult<PreparedQuery> {
         let inputs = self.prepare_inputs(query, grounding)?;
-        let t_build = std::time::Instant::now();
+        let treatment_attr = inputs.treatment_attr.as_str();
+
+        // 5. Relational peers and covariates. When the response is a
+        //    streamed aggregate extension, its (virtual, leaf) response
+        //    vertices are answered from the group source lists instead of
+        //    a materialised graph walk. Peers and covariates address units
+        //    by row, and the unit table reads both by row.
+        let peers = match &inputs.grounded {
+            QueryGrounding::Extended { base, ext } => {
+                compute_peers_streamed(base, ext, treatment_attr, &inputs.units, &self.instance)
+            }
+            QueryGrounding::Full(_) => compute_peers(
+                &inputs.grounded,
+                treatment_attr,
+                &inputs.response_attr,
+                &inputs.units,
+            ),
+        };
+        // The peer map owns a copy of the units; reading them back through
+        // it lets the later layers match their unit lists by address.
+        let units = peers.units();
+        let adjustment = covariates(
+            &inputs.model,
+            &inputs.grounded,
+            &self.instance,
+            treatment_attr,
+            units,
+            &peers,
+        );
+
+        // 6. Embedding and the unit table (Algorithm 1).
+        let embedding = self.embedding_for(peers.values().map(Vec::len).max().unwrap_or(0));
         let unit_table = build_unit_table(&UnitTableSpec {
             grounded: &inputs.grounded,
             instance: &self.instance,
-            treatment_attr: &inputs.treatment_attr,
+            treatment_attr,
             response_attr: &inputs.response_attr,
-            units: &inputs.units,
-            peers: &inputs.peers,
-            adjustment: &inputs.adjustment,
-            embedding: inputs.embedding,
+            units,
+            peers: &peers,
+            adjustment: &adjustment,
+            embedding,
             allowed_units: inputs.allowed_units.as_ref(),
         })?;
-        if profile_prepare() {
-            eprintln!(
-                "prepare: unit_table {:.2}ms",
-                t_build.elapsed().as_secs_f64() * 1e3
-            );
-        }
 
         Ok(PreparedQuery {
             unit_table,
-            peers: inputs.peers,
-            adjustment: inputs.adjustment,
+            peers,
+            adjustment,
             treatment_attr: inputs.treatment_attr,
             response_attr: inputs.response_attr,
             peer_condition: query.peers,
         })
     }
 
-    /// Prepare a parsed query on the legacy row-oriented path (no grounding
-    /// cache, row-built unit table). Reference implementation for the
-    /// differential test harness; not used by production code.
+    /// Prepare a parsed query on the legacy row-oriented reference path:
+    /// fresh grounding (no grounding cache), key-addressed peers and
+    /// covariates from [`crate::rowwise`], row-built unit table. Reference
+    /// implementation for the differential test harness; not used by
+    /// production code.
     pub fn prepare_rowwise(&self, query: &CausalQuery) -> CarlResult<RowPreparedQuery> {
         let inputs = self.prepare_inputs(query, Grounding::Fresh)?;
-        let unit_table = build_row_unit_table(&UnitTableSpec {
-            grounded: inputs
-                .grounded
-                .as_model()
-                .expect("fresh groundings are materialised"),
+        let grounded = inputs
+            .grounded
+            .as_model()
+            .expect("fresh groundings are materialised");
+        let peers = compute_peers_rowwise(
+            grounded,
+            &inputs.treatment_attr,
+            &inputs.response_attr,
+            &inputs.units,
+        );
+        let adjustment = covariates_rowwise(
+            &inputs.model,
+            grounded,
+            &self.instance,
+            &inputs.treatment_attr,
+            &inputs.units,
+            &peers,
+        );
+        let embedding = self.embedding_for(peers.values().map(Vec::len).max().unwrap_or(0));
+        let unit_table = build_row_unit_table(&RowUnitTableSpec {
+            grounded,
             instance: &self.instance,
             treatment_attr: &inputs.treatment_attr,
             response_attr: &inputs.response_attr,
             units: &inputs.units,
-            peers: &inputs.peers,
-            adjustment: &inputs.adjustment,
-            embedding: inputs.embedding,
+            peers: &peers,
+            adjustment: &adjustment,
+            embedding,
             allowed_units: inputs.allowed_units.as_ref(),
         })?;
 
         Ok(RowPreparedQuery {
             unit_table,
-            peers: inputs.peers,
+            peers,
             treatment_attr: inputs.treatment_attr,
             response_attr: inputs.response_attr,
             peer_condition: query.peers,

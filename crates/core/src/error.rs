@@ -61,6 +61,11 @@ pub enum CarlError {
     /// A query asked about an attribute with no grounded values.
     NoValues(String),
 
+    /// A unit-table input (named in the payload: the peer map or the
+    /// adjustment plan) was built over a different unit list than the
+    /// table, so its rows would not line up with the table's units.
+    UnitListMismatch(String),
+
     /// Catch-all invalid-argument error.
     InvalidQuery(String),
 }
@@ -111,6 +116,10 @@ impl fmt::Display for CarlError {
             Self::NoValues(name) => write!(
                 f,
                 "attribute `{name}` has no observed or derived values in this instance"
+            ),
+            Self::UnitListMismatch(input) => write!(
+                f,
+                "the {input} was built over a different unit list than the unit table"
             ),
             Self::InvalidQuery(message) => write!(f, "invalid query: {message}"),
         }

@@ -5,13 +5,109 @@
 //! directed path to `x`'s (possibly aggregated) response `Y[x]` in the
 //! grounded causal graph — exactly the units whose treatment can interfere
 //! with `x`'s outcome (e.g. Bob's co-author Eva in Figure 5).
+//!
+//! Peers are addressed by **row index**: a [`PeerMap`] holds, for every unit
+//! of the slice it was built from, the `u32` positions of its peers in that
+//! slice. Covariate selection and the unit table read it by row, so no layer
+//! after grounding hashes or clones a [`UnitKey`] per peer edge. The
+//! key-addressed map of earlier versions survives only as the reference in
+//! [`crate::rowwise`].
 
 use crate::ground::{AggregateExtension, GroundedValues, StreamedModel};
 use reldb::{Instance, UnitKey};
-use std::collections::HashMap;
+use std::sync::Arc;
 
-/// The peer map: for each unit key, the list of its relational peers.
-pub type PeerMap = HashMap<UnitKey, Vec<UnitKey>>;
+/// The peer map: for each unit, the row indices of its relational peers.
+///
+/// Row `i` belongs to `units()[i]`; each list holds indices into the same
+/// slice, sorted in [`UnitKey`] order (so two maps over the same units
+/// compare equal exactly when every unit has the same peers in the same
+/// order).
+#[derive(Debug, Clone, PartialEq)]
+pub struct PeerMap {
+    units: Arc<[UnitKey]>,
+    lists: Vec<Vec<u32>>,
+}
+
+impl PeerMap {
+    /// Wrap per-unit peer lists built in ascending row order, re-sorting
+    /// them into key order when the units themselves are not sorted.
+    fn from_lists(units: &[UnitKey], mut lists: Vec<Vec<u32>>) -> Self {
+        if !units.windows(2).all(|w| w[0] <= w[1]) {
+            for list in &mut lists {
+                list.sort_by(|&a, &b| units[a as usize].cmp(&units[b as usize]));
+            }
+        }
+        Self {
+            units: units.into(),
+            lists,
+        }
+    }
+
+    /// The units this map was built over, in row order.
+    pub fn units(&self) -> &[UnitKey] {
+        &self.units
+    }
+
+    /// The shared unit list, for plans built over the same units.
+    pub(crate) fn shared_units(&self) -> &Arc<[UnitKey]> {
+        &self.units
+    }
+
+    /// Number of units (rows).
+    pub fn len(&self) -> usize {
+        self.lists.len()
+    }
+
+    /// Whether the map covers no units.
+    pub fn is_empty(&self) -> bool {
+        self.lists.is_empty()
+    }
+
+    /// The peers of the unit in row `unit`, as row indices in key order.
+    pub fn peers_of(&self, unit: usize) -> &[u32] {
+        &self.lists[unit]
+    }
+
+    /// Every unit's peer list, in row order.
+    pub fn values(&self) -> std::slice::Iter<'_, Vec<u32>> {
+        self.lists.iter()
+    }
+
+    /// The peers of the unit in row `unit`, as keys in key order.
+    pub fn peer_keys(&self, unit: usize) -> impl Iterator<Item = &UnitKey> + '_ {
+        self.lists[unit].iter().map(|&p| &self.units[p as usize])
+    }
+
+    /// The peers of the unit keyed `unit` (the first row with that key), or
+    /// `None` when it is not one of the units. Scans the unit list: meant
+    /// for inspection and tests, where callers hold keys rather than rows.
+    pub fn get(&self, unit: &UnitKey) -> Option<impl Iterator<Item = &UnitKey> + '_> {
+        let row = self.units.iter().position(|u| u == unit)?;
+        Some(self.peer_keys(row))
+    }
+
+    /// Every unit with its peers, both as keys, in row order.
+    pub fn iter(
+        &self,
+    ) -> impl Iterator<Item = (&UnitKey, impl Iterator<Item = &UnitKey> + '_)> + '_ {
+        self.units
+            .iter()
+            .enumerate()
+            .map(|(row, unit)| (unit, self.peer_keys(row)))
+    }
+}
+
+/// Whether two unit lists are the same list: the same slice, or equal
+/// element by element.
+pub(crate) fn same_units(a: &[UnitKey], b: &[UnitKey]) -> bool {
+    std::ptr::eq(a, b) || a == b
+}
+
+/// `u32` row index of unit `i` (peer lists are `u32` to halve their size).
+fn row(i: usize) -> u32 {
+    u32::try_from(i).expect("more than u32::MAX units")
+}
 
 /// Compute the relational peers of every unit.
 ///
@@ -27,33 +123,30 @@ pub fn compute_peers<G: GroundedValues>(
     let graph = grounded.graph();
     let n = graph.node_count();
 
-    // Dense response lookup: node id → unit index (usize::MAX = not a
-    // response node of any unit). Each unit has at most one response node
-    // (grounded attributes are unique), so no per-hit dedup is needed.
-    let unit_index: HashMap<&UnitKey, usize> =
-        units.iter().enumerate().map(|(i, u)| (u, i)).collect();
-    let mut response_of: Vec<usize> = vec![usize::MAX; n];
-    for &rid in graph.nodes_of_attr(response_attr) {
-        if let Some(&ui) = unit_index.get(&graph.node(rid).key) {
-            response_of[rid] = ui;
+    // Dense response lookup: node id → unit row (u32::MAX = not a response
+    // node of any unit). Each unit has at most one response node (grounded
+    // attributes are unique), so no per-hit dedup is needed.
+    let mut response_of: Vec<u32> = vec![u32::MAX; n];
+    for (ui, unit) in units.iter().enumerate() {
+        if let Some(rid) = grounded.node_of(response_attr, unit) {
+            response_of[rid] = row(ui);
         }
     }
 
     // For each unit p, walk the descendants of T[p]; any response node
     // reached belongs to some unit x, and p becomes a peer of x. The DFS
     // reuses one epoch-stamped visited buffer and one stack across units —
-    // no per-unit set allocation, no hashing.
-    let mut peer_idx: Vec<Vec<usize>> = vec![Vec::new(); units.len()];
+    // no per-unit set allocation, no hashing. Units are visited in row
+    // order, so every list is built ascending.
+    let mut lists: Vec<Vec<u32>> = vec![Vec::new(); units.len()];
     let mut stamps: Vec<u32> = vec![0; n];
     let mut stack: Vec<usize> = Vec::new();
     for (pi, p) in units.iter().enumerate() {
-        // Interned node lookup where the grounding supports it (streamed
-        // models resolve through symbol signatures); the default probes the
-        // graph's fingerprint index.
         let Some(tid) = grounded.node_of(treatment_attr, p) else {
             continue;
         };
-        let epoch = u32::try_from(pi).expect("more than u32::MAX units") + 1;
+        let pi = row(pi);
+        let epoch = pi + 1;
         stamps[tid] = epoch;
         stack.push(tid);
         while let Some(node) = stack.pop() {
@@ -64,23 +157,13 @@ pub fn compute_peers<G: GroundedValues>(
                 stamps[child] = epoch;
                 stack.push(child);
                 let x = response_of[child];
-                if x != usize::MAX && x != pi {
-                    peer_idx[x].push(pi);
+                if x != u32::MAX && x != pi {
+                    lists[x as usize].push(pi);
                 }
             }
         }
     }
-
-    // Materialise unit keys and sort for deterministic, reproducible order.
-    units
-        .iter()
-        .zip(peer_idx)
-        .map(|(unit, idx)| {
-            let mut list: Vec<UnitKey> = idx.into_iter().map(|pi| units[pi].clone()).collect();
-            list.sort();
-            (unit.clone(), list)
-        })
-        .collect()
+    PeerMap::from_lists(units, lists)
 }
 
 /// Compute relational peers when the response is a query-synthesised
@@ -105,21 +188,36 @@ pub fn compute_peers_streamed(
     let interner = instance.skeleton().interner();
     let n = graph.node_count();
 
-    // Source node id → indexes of the units whose (virtual) response group
-    // it feeds. A source can feed several groups.
-    let mut feeds: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (ui, unit) in units.iter().enumerate() {
-        if let Some(group) = ext.group_of_key(interner, unit) {
-            for &sid in ext.sources_of(group) {
-                feeds[sid.index()].push(u32::try_from(ui).expect("unit count fits u32"));
-            }
+    // Source node id → rows of the units whose (virtual) response group it
+    // feeds, as CSR: `fed[feed_start[s]..feed_start[s + 1]]`. A source can
+    // feed several groups.
+    let groups: Vec<Option<usize>> = units
+        .iter()
+        .map(|unit| ext.group_of_key(interner, unit))
+        .collect();
+    let mut feed_start: Vec<u32> = vec![0; n + 1];
+    for &group in groups.iter().flatten() {
+        for &sid in ext.sources_of(group) {
+            feed_start[sid.index() + 1] += 1;
+        }
+    }
+    for s in 1..=n {
+        feed_start[s] += feed_start[s - 1];
+    }
+    let mut fed: Vec<u32> = vec![0; feed_start[n] as usize];
+    let mut fill = feed_start.clone();
+    for (ui, group) in groups.iter().enumerate() {
+        for &sid in group.map_or(&[][..], |g| ext.sources_of(g)) {
+            let slot = &mut fill[sid.index()];
+            fed[*slot as usize] = row(ui);
+            *slot += 1;
         }
     }
 
     // Epoch-stamped DFS per unit, as in `compute_peers`; response hits are
     // deduplicated per unit with a second stamp array (a group has several
     // sources, but `x` must become a peer of `p` only once).
-    let mut peer_idx: Vec<Vec<usize>> = vec![Vec::new(); units.len()];
+    let mut lists: Vec<Vec<u32>> = vec![Vec::new(); units.len()];
     let mut stamps: Vec<u32> = vec![0; n];
     let mut unit_stamps: Vec<u32> = vec![0; units.len()];
     let mut stack: Vec<usize> = Vec::new();
@@ -129,20 +227,20 @@ pub fn compute_peers_streamed(
         let Some(tid) = base.node_of(treatment_attr, p) else {
             continue;
         };
-        let epoch = u32::try_from(pi).expect("more than u32::MAX units") + 1;
-        let mark = |node: usize, unit_stamps: &mut Vec<u32>, peer_idx: &mut Vec<Vec<usize>>| {
-            for &ui in &feeds[node] {
-                let ui = ui as usize;
-                if ui != pi && unit_stamps[ui] != epoch {
-                    unit_stamps[ui] = epoch;
-                    peer_idx[ui].push(pi);
+        let pi = row(pi);
+        let epoch = pi + 1;
+        let mark = |node: usize, unit_stamps: &mut Vec<u32>, lists: &mut Vec<Vec<u32>>| {
+            for &ui in &fed[feed_start[node] as usize..feed_start[node + 1] as usize] {
+                if ui != pi && unit_stamps[ui as usize] != epoch {
+                    unit_stamps[ui as usize] = epoch;
+                    lists[ui as usize].push(pi);
                 }
             }
         };
         stamps[tid] = epoch;
         // The start node may itself be a source (a materialised grounding
         // would have the aggregate vertex as its direct child).
-        mark(tid, &mut unit_stamps, &mut peer_idx);
+        mark(tid, &mut unit_stamps, &mut lists);
         stack.push(tid);
         while let Some(node) = stack.pop() {
             for &child in graph.children_of(node) {
@@ -151,20 +249,12 @@ pub fn compute_peers_streamed(
                 }
                 stamps[child] = epoch;
                 stack.push(child);
-                mark(child, &mut unit_stamps, &mut peer_idx);
+                mark(child, &mut unit_stamps, &mut lists);
             }
         }
     }
 
-    units
-        .iter()
-        .zip(peer_idx)
-        .map(|(unit, idx)| {
-            let mut list: Vec<UnitKey> = idx.into_iter().map(|pi| units[pi].clone()).collect();
-            list.sort();
-            (unit.clone(), list)
-        })
-        .collect()
+    PeerMap::from_lists(units, lists)
 }
 
 /// Summary statistics about a peer map (used in answers and reports).
@@ -224,6 +314,15 @@ mod tests {
         (grounded, instance)
     }
 
+    /// The peers of `who`, as first key components.
+    fn peer_names(peers: &PeerMap, who: &str) -> Vec<String> {
+        peers
+            .get(&vec![Value::from(who)])
+            .expect("a unit")
+            .map(|p| p[0].to_string())
+            .collect()
+    }
+
     #[test]
     fn peers_match_the_paper_example() {
         let (grounded, _) = grounded_review();
@@ -233,19 +332,27 @@ mod tests {
             .collect();
         let peers = compute_peers(&grounded, "Prestige", "AVG_Score", &units);
         // Section 4.3: P("Bob") = {"Eva"}, P("Eva") = {"Bob", "Carlos"}.
-        assert_eq!(
-            peers[&vec![Value::from("Bob")]],
-            vec![vec![Value::from("Eva")]]
-        );
-        assert_eq!(
-            peers[&vec![Value::from("Eva")]],
-            vec![vec![Value::from("Bob")], vec![Value::from("Carlos")]]
-        );
+        assert_eq!(peer_names(&peers, "Bob"), ["Eva"]);
+        assert_eq!(peer_names(&peers, "Eva"), ["Bob", "Carlos"]);
         // Carlos co-authors s3 with Eva, so P("Carlos") = {"Eva"}.
-        assert_eq!(
-            peers[&vec![Value::from("Carlos")]],
-            vec![vec![Value::from("Eva")]]
-        );
+        assert_eq!(peer_names(&peers, "Carlos"), ["Eva"]);
+        // Rows index the unit slice the map was built from.
+        assert_eq!(peers.units(), units.as_slice());
+        assert_eq!(peers.peers_of(2), [0, 1]);
+        assert!(peers.get(&vec![Value::from("Nobody")]).is_none());
+    }
+
+    #[test]
+    fn peer_lists_follow_key_order_not_row_order() {
+        let (grounded, _) = grounded_review();
+        // Eva first, Carlos before Bob: rows are not in key order.
+        let units: Vec<UnitKey> = ["Eva", "Carlos", "Bob"]
+            .iter()
+            .map(|p| vec![Value::from(*p)])
+            .collect();
+        let peers = compute_peers(&grounded, "Prestige", "AVG_Score", &units);
+        assert_eq!(peer_names(&peers, "Eva"), ["Bob", "Carlos"]);
+        assert_eq!(peers.peers_of(0), [2, 1]);
     }
 
     #[test]
@@ -268,7 +375,7 @@ mod tests {
         let (grounded, _) = grounded_review();
         let units: Vec<UnitKey> = vec![vec![Value::from("Ghost")]];
         let peers = compute_peers(&grounded, "Prestige", "AVG_Score", &units);
-        assert!(peers[&vec![Value::from("Ghost")]].is_empty());
+        assert_eq!(peers.get(&vec![Value::from("Ghost")]).unwrap().count(), 0);
     }
 
     #[test]

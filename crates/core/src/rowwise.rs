@@ -1,31 +1,323 @@
-//! The legacy **row-oriented** unit-table data path, retained verbatim as
-//! the reference implementation for the differential test harness.
+//! The legacy **row-oriented, key-addressed** data path, retained as the
+//! reference implementation for the differential test harness.
 //!
-//! The production data path ([`crate::unit_table`], [`crate::query`]) is
-//! columnar: contiguous `f64` columns filled during grounding, zero-copy
-//! slices into the estimators. This module preserves the seed's row-based
-//! semantics — a [`reldb::Table`] of [`Value`]s built row by row, per-row
-//! feature extraction, matrices assembled from row vectors — so that
-//! `tests/columnar_vs_rowwise.rs` can run every query through **both**
-//! engines and assert bit-identical estimates, in the spirit of checking a
+//! The production data path ([`crate::peers`], [`crate::adjust`],
+//! [`crate::unit_table`], [`crate::query`]) is dense and columnar: peers and
+//! covariates addressed by unit row index, contiguous `f64` columns,
+//! zero-copy slices into the estimators. This module preserves the seed's
+//! semantics with none of that machinery — peers in a
+//! `HashMap<UnitKey, Vec<UnitKey>>` ([`compute_peers_rowwise`],
+//! [`compute_peers_streamed_rowwise`]), covariates in per-unit
+//! `String`-keyed maps ([`covariates_rowwise`]), a [`reldb::Table`] of
+//! [`Value`]s built row by row, per-row feature extraction, matrices
+//! assembled from row vectors — so that `tests/columnar_vs_rowwise.rs` and
+//! `tests/streaming_vs_materialized.rs` can run every query through **both**
+//! paths and assert bit-identical results, in the spirit of checking a
 //! compact indexed representation against a reference semantics.
 //!
 //! Nothing in the production code calls into this module; the only entry
-//! points are [`build_row_unit_table`], the `*_rowwise` estimators here and
-//! the `CarlEngine::{prepare_rowwise, answer_rowwise}` façade methods
-//! (which also bypass the grounding cache, so a cache bug cannot mask
-//! itself by affecting both paths).
+//! points are the functions here and the
+//! `CarlEngine::{prepare_rowwise, answer_rowwise}` façade methods (which
+//! also bypass the grounding cache, so a cache bug cannot mask itself by
+//! affecting both paths).
 
 use crate::embed::EmbeddingKind;
 use crate::error::{CarlError, CarlResult};
 use crate::estimate::{AteAnswer, EstimatorKind, PeerEffectAnswer};
 use crate::graph::GroundedAttr;
-use crate::peers::PeerMap;
+use crate::ground::{AggregateExtension, GroundedModel, GroundedValues, StreamedModel};
+use crate::model::RelationalCausalModel;
 use crate::query::regime_fraction;
-use crate::unit_table::{render_unit, UnitTableSpec};
+use crate::unit_table::render_unit;
 use carl_lang::PeerCondition;
 use carl_stats::{estimate_ate as stats_ate, AteMethod, Matrix, OlsFit};
-use reldb::{Table, UnitKey, Value};
+use reldb::{Instance, Table, UnitKey, Value};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+
+/// The reference peer map: for each unit key, the keys of its relational
+/// peers in key order.
+pub type RowPeerMap = HashMap<UnitKey, Vec<UnitKey>>;
+
+/// The reference form of [`crate::peers::compute_peers`]: the relational
+/// peers of every unit, keyed by unit.
+///
+/// `units` are the (unified) treated/response units; `treatment_attr` and
+/// `response_attr` name the grounded attribute families. A unit `p` is a
+/// peer of `x ≠ p` iff there is a directed path from `T[p]` to `Y[x]`.
+pub fn compute_peers_rowwise<G: GroundedValues>(
+    grounded: &G,
+    treatment_attr: &str,
+    response_attr: &str,
+    units: &[UnitKey],
+) -> RowPeerMap {
+    let graph = grounded.graph();
+    let n = graph.node_count();
+
+    // Dense response lookup: node id → unit index (usize::MAX = not a
+    // response node of any unit). Each unit has at most one response node
+    // (grounded attributes are unique), so no per-hit dedup is needed.
+    let unit_index: HashMap<&UnitKey, usize> =
+        units.iter().enumerate().map(|(i, u)| (u, i)).collect();
+    let mut response_of: Vec<usize> = vec![usize::MAX; n];
+    for &rid in graph.nodes_of_attr(response_attr) {
+        if let Some(&ui) = unit_index.get(&graph.node(rid).key) {
+            response_of[rid] = ui;
+        }
+    }
+
+    // For each unit p, walk the descendants of T[p]; any response node
+    // reached belongs to some unit x, and p becomes a peer of x. The DFS
+    // reuses one epoch-stamped visited buffer and one stack across units —
+    // no per-unit set allocation, no hashing.
+    let mut peer_idx: Vec<Vec<usize>> = vec![Vec::new(); units.len()];
+    let mut stamps: Vec<u32> = vec![0; n];
+    let mut stack: Vec<usize> = Vec::new();
+    for (pi, p) in units.iter().enumerate() {
+        // Interned node lookup where the grounding supports it (streamed
+        // models resolve through symbol signatures); the default probes the
+        // graph's fingerprint index.
+        let Some(tid) = grounded.node_of(treatment_attr, p) else {
+            continue;
+        };
+        let epoch = u32::try_from(pi).expect("more than u32::MAX units") + 1;
+        stamps[tid] = epoch;
+        stack.push(tid);
+        while let Some(node) = stack.pop() {
+            for &child in graph.children_of(node) {
+                if stamps[child] == epoch {
+                    continue;
+                }
+                stamps[child] = epoch;
+                stack.push(child);
+                let x = response_of[child];
+                if x != usize::MAX && x != pi {
+                    peer_idx[x].push(pi);
+                }
+            }
+        }
+    }
+
+    // Materialise unit keys and sort for deterministic, reproducible order.
+    units
+        .iter()
+        .zip(peer_idx)
+        .map(|(unit, idx)| {
+            let mut list: Vec<UnitKey> = idx.into_iter().map(|pi| units[pi].clone()).collect();
+            list.sort();
+            (unit.clone(), list)
+        })
+        .collect()
+}
+
+/// The reference form of [`crate::peers::compute_peers_streamed`]: relational
+/// peers, keyed by unit, when the response is a query-synthesised
+/// aggregate streamed as an [`AggregateExtension`] over a shared base
+/// grounding.
+///
+/// In a materialised grounding the aggregate's vertices `Y[x]` would be
+/// leaves whose only in-edges come from their group's source groundings, so
+/// "a directed path `T[p] → … → Y[x]` exists" is equivalent to "the
+/// descendant walk of `T[p]` in the *base* graph touches one of `x`'s group
+/// sources". This walks exactly that, producing a peer map bit-identical to
+/// running [`compute_peers_rowwise`] over the fully materialised grounding (pinned
+/// by the streaming differential suite).
+pub fn compute_peers_streamed_rowwise(
+    base: &StreamedModel,
+    ext: &AggregateExtension,
+    treatment_attr: &str,
+    units: &[UnitKey],
+    instance: &Instance,
+) -> RowPeerMap {
+    let graph = &base.graph;
+    let interner = instance.skeleton().interner();
+    let n = graph.node_count();
+
+    // Source node id → indexes of the units whose (virtual) response group
+    // it feeds. A source can feed several groups.
+    let mut feeds: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for (ui, unit) in units.iter().enumerate() {
+        if let Some(group) = ext.group_of_key(interner, unit) {
+            for &sid in ext.sources_of(group) {
+                feeds[sid.index()].push(u32::try_from(ui).expect("unit count fits u32"));
+            }
+        }
+    }
+
+    // Epoch-stamped DFS per unit, as in `compute_peers`; response hits are
+    // deduplicated per unit with a second stamp array (a group has several
+    // sources, but `x` must become a peer of `p` only once).
+    let mut peer_idx: Vec<Vec<usize>> = vec![Vec::new(); units.len()];
+    let mut stamps: Vec<u32> = vec![0; n];
+    let mut unit_stamps: Vec<u32> = vec![0; units.len()];
+    let mut stack: Vec<usize> = Vec::new();
+    for (pi, p) in units.iter().enumerate() {
+        // Interned probe through the base's node table — no `GroundedAttr`
+        // construction or fingerprint hash per unit.
+        let Some(tid) = base.node_of(treatment_attr, p) else {
+            continue;
+        };
+        let epoch = u32::try_from(pi).expect("more than u32::MAX units") + 1;
+        let mark = |node: usize, unit_stamps: &mut Vec<u32>, peer_idx: &mut Vec<Vec<usize>>| {
+            for &ui in &feeds[node] {
+                let ui = ui as usize;
+                if ui != pi && unit_stamps[ui] != epoch {
+                    unit_stamps[ui] = epoch;
+                    peer_idx[ui].push(pi);
+                }
+            }
+        };
+        stamps[tid] = epoch;
+        // The start node may itself be a source (a materialised grounding
+        // would have the aggregate vertex as its direct child).
+        mark(tid, &mut unit_stamps, &mut peer_idx);
+        stack.push(tid);
+        while let Some(node) = stack.pop() {
+            for &child in graph.children_of(node) {
+                if stamps[child] == epoch {
+                    continue;
+                }
+                stamps[child] = epoch;
+                stack.push(child);
+                mark(child, &mut unit_stamps, &mut peer_idx);
+            }
+        }
+    }
+
+    units
+        .iter()
+        .zip(peer_idx)
+        .map(|(unit, idx)| {
+            let mut list: Vec<UnitKey> = idx.into_iter().map(|pi| units[pi].clone()).collect();
+            list.sort();
+            (unit.clone(), list)
+        })
+        .collect()
+}
+
+/// The covariate values collected for one unit, grouped by attribute name.
+#[derive(Debug, Clone, Default)]
+pub struct UnitCovariates {
+    /// Observed parents of the unit's own treatment, by attribute.
+    pub own: BTreeMap<String, Vec<f64>>,
+    /// Observed parents of the peers' treatments, by attribute.
+    pub peer: BTreeMap<String, Vec<f64>>,
+}
+
+/// The reference form of [`crate::adjust::AdjustmentPlan`]: which covariate attributes
+/// appear (so the unit table has a consistent column set) and the per-unit
+/// values.
+#[derive(Debug, Clone, Default)]
+pub struct RowAdjustmentPlan {
+    /// Attribute names of own covariates, sorted.
+    pub own_attributes: Vec<String>,
+    /// Attribute names of peer covariates, sorted.
+    pub peer_attributes: Vec<String>,
+    /// Per-unit covariate values.
+    pub per_unit: BTreeMap<UnitKey, UnitCovariates>,
+}
+
+/// The reference form of [`crate::adjust::covariates`]: the adjustment plan
+/// for all `units`, given the keyed peer map.
+///
+/// Only *observed* attributes (per the model) are eligible covariates, as
+/// required by Theorem 5.2 (`Z` ranges over groundings of `A_Obs`).
+/// The treatment attribute itself is never a covariate.
+pub fn covariates_rowwise<G: GroundedValues>(
+    model: &RelationalCausalModel,
+    grounded: &G,
+    instance: &Instance,
+    treatment_attr: &str,
+    units: &[UnitKey],
+    peers: &RowPeerMap,
+) -> RowAdjustmentPlan {
+    let graph = grounded.graph();
+    let mut plan = RowAdjustmentPlan::default();
+    let mut own_attrs: BTreeSet<String> = BTreeSet::new();
+    let mut peer_attrs: BTreeSet<String> = BTreeSet::new();
+
+    // The observed parents of one unit's treatment node, in graph parent
+    // order. Computed once per unit: a unit's list is reused for its own
+    // covariates and for every unit it is a peer of.
+    let mut lookup = GroundedAttr::new(treatment_attr, Vec::new());
+    let parents_of = |lookup: &mut GroundedAttr, unit: &UnitKey| -> Vec<(String, f64)> {
+        lookup.key.clear();
+        lookup.key.extend_from_slice(unit);
+        let Some(id) = graph.node_id(lookup) else {
+            return Vec::new();
+        };
+        graph
+            .parents_of(id)
+            .iter()
+            .filter_map(|&pid| {
+                let parent = graph.node(pid);
+                if parent.attr == treatment_attr || !model.is_observed(&parent.attr) {
+                    return None;
+                }
+                grounded
+                    .value_of(instance, parent)
+                    .map(|v| (parent.attr.clone(), v))
+            })
+            .collect()
+    };
+    let unit_index: std::collections::HashMap<&UnitKey, usize> =
+        units.iter().enumerate().map(|(i, u)| (u, i)).collect();
+    let memo: Vec<Vec<(String, f64)>> = units.iter().map(|u| parents_of(&mut lookup, u)).collect();
+    let append = |list: &[(String, f64)],
+                  out: &mut BTreeMap<String, Vec<f64>>,
+                  attrs: &mut BTreeSet<String>| {
+        for (attr, v) in list {
+            out.entry(attr.clone()).or_default().push(*v);
+            if !attrs.contains(attr) {
+                attrs.insert(attr.clone());
+            }
+        }
+    };
+
+    for (i, unit) in units.iter().enumerate() {
+        let mut cov = UnitCovariates::default();
+        append(&memo[i], &mut cov.own, &mut own_attrs);
+        if let Some(unit_peers) = peers.get(unit) {
+            for p in unit_peers {
+                match unit_index.get(p) {
+                    // Peers are normally units themselves: reuse the memo.
+                    Some(&pi) => append(&memo[pi], &mut cov.peer, &mut peer_attrs),
+                    None => {
+                        let list = parents_of(&mut lookup, p);
+                        append(&list, &mut cov.peer, &mut peer_attrs);
+                    }
+                }
+            }
+        }
+        plan.per_unit.insert(unit.clone(), cov);
+    }
+    plan.own_attributes = own_attrs.into_iter().collect();
+    plan.peer_attributes = peer_attrs.into_iter().collect();
+    plan
+}
+
+/// Inputs to [`build_row_unit_table`]: the reference counterpart of
+/// [`crate::unit_table::UnitTableSpec`], holding the keyed peer map and
+/// adjustment plan.
+pub struct RowUnitTableSpec<'a, G: GroundedValues = GroundedModel> {
+    /// The grounded model (graph + derived aggregate values).
+    pub grounded: &'a G,
+    /// The observed instance.
+    pub instance: &'a Instance,
+    /// Treatment attribute name.
+    pub treatment_attr: &'a str,
+    /// (Unified) response attribute name.
+    pub response_attr: &'a str,
+    /// Units of analysis (unified treated/response units).
+    pub units: &'a [UnitKey],
+    /// Relational peers of each unit.
+    pub peers: &'a RowPeerMap,
+    /// Covariates selected by Theorem 5.2.
+    pub adjustment: &'a RowAdjustmentPlan,
+    /// Embedding strategy.
+    pub embedding: EmbeddingKind,
+    /// Optional restriction of the units included.
+    pub allowed_units: Option<&'a HashSet<UnitKey>>,
+}
 
 /// The legacy unit table: a row-built [`reldb::Table`] of values plus the
 /// column metadata, exactly as the seed defined it.
@@ -98,7 +390,9 @@ impl RowUnitTable {
 
 /// Algorithm 1 in its original row-oriented form: every unit becomes a
 /// `Vec<Value>` row pushed into a [`reldb::Table`].
-pub fn build_row_unit_table(spec: &UnitTableSpec<'_>) -> CarlResult<RowUnitTable> {
+pub fn build_row_unit_table<G: GroundedValues>(
+    spec: &RowUnitTableSpec<'_, G>,
+) -> CarlResult<RowUnitTable> {
     let embedding = spec.embedding;
     let peer_treatment_cols = embedding.column_names("peer_treatment");
     let own_cov_cols: Vec<(String, Vec<String>)> = spec
@@ -389,7 +683,7 @@ pub fn estimate_ate_rowwise(ut: &RowUnitTable, estimator: EstimatorKind) -> Carl
 pub fn estimate_peer_effects_rowwise(
     ut: &RowUnitTable,
     regime: &PeerCondition,
-    peers: &PeerMap,
+    peers: &RowPeerMap,
     estimator: EstimatorKind,
 ) -> CarlResult<PeerEffectAnswer> {
     if ut.peer_treatment_cols.is_empty() {
@@ -423,7 +717,13 @@ pub fn estimate_peer_effects_rowwise(
         aoe += y_t1_peers - y_t0_none;
     }
     let n = ut.len() as f64;
-    let stats = crate::peers::peer_stats(peers);
+    let n_with_peers = peers.values().filter(|p| !p.is_empty()).count();
+    let total_peers: usize = peers.values().map(Vec::len).sum();
+    let mean_peer_count = if peers.is_empty() {
+        0.0
+    } else {
+        total_peers as f64 / peers.len() as f64
+    };
 
     Ok(PeerEffectAnswer {
         aie: aie / n,
@@ -432,8 +732,8 @@ pub fn estimate_peer_effects_rowwise(
         naive_difference: naive.naive_difference,
         correlation: naive.correlation,
         n_units: ut.len(),
-        n_units_with_peers: stats.n_with_peers,
-        mean_peer_count: stats.mean_peers,
+        n_units_with_peers: n_with_peers,
+        mean_peer_count,
         estimator,
         peer_regime: regime.to_string(),
     })
@@ -442,12 +742,9 @@ pub fn estimate_peer_effects_rowwise(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adjust::covariates;
     use crate::ground::ground;
-    use crate::model::RelationalCausalModel;
-    use crate::peers::compute_peers;
     use carl_lang::parse_program;
-    use reldb::{Instance, RelationalSchema};
+    use reldb::RelationalSchema;
 
     #[test]
     fn row_unit_table_matches_table_1() {
@@ -469,9 +766,10 @@ mod tests {
             .iter()
             .map(|p| vec![Value::from(*p)])
             .collect();
-        let peers = compute_peers(&grounded, "Prestige", "AVG_Score", &units);
-        let adjustment = covariates(&model, &grounded, &instance, "Prestige", &units, &peers);
-        let ut = build_row_unit_table(&UnitTableSpec {
+        let peers = compute_peers_rowwise(&grounded, "Prestige", "AVG_Score", &units);
+        let adjustment =
+            covariates_rowwise(&model, &grounded, &instance, "Prestige", &units, &peers);
+        let ut = build_row_unit_table(&RowUnitTableSpec {
             grounded: &grounded,
             instance: &instance,
             treatment_attr: "Prestige",

@@ -9,8 +9,10 @@
 //! **column-major**: one contiguous `Vec<f64>` plus a null bitmap per
 //! attribute, filled directly while walking the grounded model — no
 //! intermediate row values, no `Value` boxing, no per-row extraction.
-//! Estimators borrow columns as zero-copy `&[f64]` slices. The legacy
-//! row-oriented path is preserved in [`crate::rowwise`] as the reference
+//! Estimators borrow columns as zero-copy `&[f64]` slices. The builder reads
+//! the [`PeerMap`] and the [`AdjustmentPlan`] by unit row index and looks up
+//! each unit's treatment once. The legacy row-oriented, key-addressed path
+//! is preserved in [`crate::rowwise`] as the reference
 //! implementation for the differential test harness
 //! (`tests/columnar_vs_rowwise.rs`), which asserts that both paths produce
 //! bit-identical estimates.
@@ -20,7 +22,7 @@ use crate::embed::EmbeddingKind;
 use crate::error::{CarlError, CarlResult};
 use crate::graph::GroundedAttr;
 use crate::ground::{GroundedModel, GroundedValues};
-use crate::peers::PeerMap;
+use crate::peers::{same_units, PeerMap};
 use reldb::{Instance, Table, UnitKey, Value};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -400,29 +402,38 @@ pub struct UnitTableSpec<'a, G: GroundedValues = GroundedModel> {
 struct ColumnLayout {
     any_peers: bool,
     peer_treatment_cols: Vec<String>,
-    own_cov_attrs: Vec<String>,
-    peer_cov_attrs: Vec<String>,
+    /// Covariate slots (indices into the plan's `own_attributes`) of the
+    /// own and the peer covariate columns, in column order.
+    own_cov_slots: Vec<u32>,
+    peer_cov_slots: Vec<u32>,
     covariate_cols: Vec<String>,
 }
 
 impl ColumnLayout {
     fn of<G: GroundedValues>(spec: &UnitTableSpec<'_, G>) -> Self {
         let embedding = spec.embedding;
+        let adjustment = spec.adjustment;
         let any_peers = spec.peers.values().any(|p| !p.is_empty());
-        let own_cov_attrs = spec.adjustment.own_attributes.clone();
-        let peer_cov_attrs = spec.adjustment.peer_attributes.clone();
         let mut covariate_cols = Vec::new();
-        for a in &own_cov_attrs {
+        for a in adjustment.own_attributes() {
             covariate_cols.extend(embedding.column_names(&format!("own_{a}")));
         }
-        for a in &peer_cov_attrs {
+        for a in adjustment.peer_attributes() {
             covariate_cols.extend(embedding.column_names(&format!("peer_{a}")));
         }
         Self {
             any_peers,
             peer_treatment_cols: embedding.column_names("peer_treatment"),
-            own_cov_attrs,
-            peer_cov_attrs,
+            own_cov_slots: adjustment
+                .own_attributes()
+                .iter()
+                .map(|a| adjustment.slot_of(a))
+                .collect(),
+            peer_cov_slots: adjustment
+                .peer_attributes()
+                .iter()
+                .map(|a| adjustment.slot_of(a))
+                .collect(),
             covariate_cols,
         }
     }
@@ -446,20 +457,46 @@ impl ColumnLayout {
 /// Algorithm 1: construct the unit table `D(Y, ψ_T, Ψ_Z)` as a columnar
 /// store, filled directly from the grounded model in a single pass.
 ///
-/// Units lacking an observed outcome or an observed binary treatment are
-/// skipped (they cannot contribute to estimation). Returns an error if no
-/// unit survives.
+/// Peers and covariates are read by row index, so `spec.peers` and
+/// `spec.adjustment` must have been built over `spec.units`; otherwise
+/// [`CarlError::UnitListMismatch`] is returned. Units lacking an observed
+/// outcome or an observed binary treatment are skipped (they cannot
+/// contribute to estimation). Returns an error if no unit survives.
 pub fn build_unit_table<G: GroundedValues>(spec: &UnitTableSpec<'_, G>) -> CarlResult<UnitTable> {
+    let peer_units = spec.peers.units();
+    if !same_units(spec.units, peer_units) {
+        return Err(CarlError::UnitListMismatch("peer map".into()));
+    }
+    // A plan built with this peer map shares its unit list.
+    let plan_units = spec.adjustment.units();
+    if !std::ptr::eq(plan_units, peer_units) && !same_units(spec.units, plan_units) {
+        return Err(CarlError::UnitListMismatch("adjustment plan".into()));
+    }
     let embedding = spec.embedding;
     let layout = ColumnLayout::of(spec);
     let mut columns = layout.columns();
 
+    // Every unit's treatment, looked up once: the unit's own row and each
+    // peer edge pointing at it read this. `None` = no assignment,
+    // `Some(None)` = not binary.
+    let treatments: Vec<Option<Option<bool>>> = spec
+        .units
+        .iter()
+        .map(|u| {
+            spec.instance
+                .attribute(spec.treatment_attr, u)
+                .map(Value::as_bool)
+        })
+        .collect();
+
     let mut units_out = Vec::new();
     let mut peer_counts = Vec::new();
-    // One reusable lookup node: the key vector is refilled per unit instead
-    // of cloning attribute name + key for every candidate row.
+    // Reusable buffers: one lookup node (its key refilled per unit), the
+    // value set being embedded and the cells of one row.
     let mut outcome_node = GroundedAttr::new(spec.response_attr, Vec::new());
-    for unit in spec.units {
+    let mut values: Vec<f64> = Vec::new();
+    let mut cells: Vec<f64> = Vec::with_capacity(columns.len());
+    for (i, unit) in spec.units.iter().enumerate() {
         if let Some(allowed) = spec.allowed_units {
             if !allowed.contains(unit) {
                 continue;
@@ -472,72 +509,61 @@ pub fn build_unit_table<G: GroundedValues>(spec: &UnitTableSpec<'_, G>) -> CarlR
             continue;
         };
         // Own treatment: must be observed and binary.
-        let Some(treatment_value) = spec.instance.attribute(spec.treatment_attr, unit) else {
+        let Some(treated) = treatments[i] else {
             continue;
         };
-        let Some(treated) = treatment_value.as_bool() else {
+        let Some(treated) = treated else {
             return Err(CarlError::NonBinaryTreatment(
                 spec.treatment_attr.to_string(),
             ));
         };
 
-        let unit_peers: &[UnitKey] = spec.peers.get(unit).map(|v| v.as_slice()).unwrap_or(&[]);
-        let peer_treatments: Vec<f64> = unit_peers
-            .iter()
-            .filter_map(|p| {
-                spec.instance
-                    .attribute(spec.treatment_attr, p)
-                    .and_then(Value::as_bool)
-                    .map(|b| if b { 1.0 } else { 0.0 })
-            })
-            .collect();
+        // Peers without an observed binary treatment are left out of the
+        // peer-treatment embedding and the peer count.
+        let unit_peers = spec.peers.peers_of(i);
+        values.clear();
+        values.extend(
+            unit_peers
+                .iter()
+                .filter_map(|&p| treatments[p as usize].flatten())
+                .map(|b| if b { 1.0 } else { 0.0 }),
+        );
+        let peer_count = values.len();
 
-        // Append this unit's cells column by column.
-        let covariates = spec.adjustment.per_unit.get(unit);
-        let mut col = 0usize;
-        columns[col].push(outcome);
-        col += 1;
-        columns[col].push(if treated { 1.0 } else { 0.0 });
-        col += 1;
+        cells.clear();
+        cells.push(outcome);
+        cells.push(if treated { 1.0 } else { 0.0 });
         if layout.any_peers {
-            for v in embedding.embed(&peer_treatments) {
-                columns[col].push(v);
-                col += 1;
-            }
+            embedding.embed_into(&values, &mut cells);
         }
-        for attr in &layout.own_cov_attrs {
-            let values = covariates
-                .and_then(|c| c.own.get(attr))
-                .map(Vec::as_slice)
-                .unwrap_or(&[]);
-            for v in embedding.embed(values) {
-                columns[col].push(v);
-                col += 1;
-            }
+        for &slot in &layout.own_cov_slots {
+            values.clear();
+            spec.adjustment.extend_values(i, slot, &mut values);
+            embedding.embed_into(&values, &mut cells);
         }
-        for attr in &layout.peer_cov_attrs {
-            let values = covariates
-                .and_then(|c| c.peer.get(attr))
-                .map(Vec::as_slice)
-                .unwrap_or(&[]);
-            for v in embedding.embed(values) {
-                columns[col].push(v);
-                col += 1;
+        for &slot in &layout.peer_cov_slots {
+            values.clear();
+            for &p in unit_peers {
+                spec.adjustment.extend_values(p as usize, slot, &mut values);
             }
+            embedding.embed_into(&values, &mut cells);
         }
         // Guard the column alignment at runtime (the row-based path got the
         // equivalent check from `Table::push_row`): if an embedding ever
         // yields a different width than its declared column names, fail
         // loudly instead of silently shearing the columns.
-        if col != columns.len() {
+        if cells.len() != columns.len() {
             return Err(CarlError::Rel(reldb::RelError::ColumnLengthMismatch {
                 column: "<row>".to_string(),
                 expected: columns.len(),
-                actual: col,
+                actual: cells.len(),
             }));
         }
+        for (column, &v) in columns.iter_mut().zip(&cells) {
+            column.push(v);
+        }
         units_out.push(unit.clone());
-        peer_counts.push(peer_treatments.len());
+        peer_counts.push(peer_count);
     }
 
     if units_out.is_empty() {

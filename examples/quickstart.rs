@@ -65,7 +65,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "{} -> {{{}}}",
                 unit[0],
                 peers
-                    .iter()
                     .map(|p| p[0].to_string())
                     .collect::<Vec<_>>()
                     .join(", ")

@@ -3,12 +3,13 @@
 //!
 //! The columnar engine (contiguous `f64` columns built during grounding,
 //! zero-copy slices into the estimators, grounding cache) must reproduce the
-//! seed's row-based results **bit for bit** — same unit tables, same ATEs,
-//! same peer-effect decompositions — on every example query and every
-//! integration scenario in the repository. The row path
+//! seed's row-based results **bit for bit** — same peer lists, same unit
+//! tables, same ATEs, same peer-effect decompositions — on every example
+//! query and every integration scenario in the repository. The row path
 //! ([`carl::rowwise`], reached via `CarlEngine::{prepare,answer}_rowwise`)
-//! preserves the seed implementation verbatim and bypasses the grounding
-//! cache, so a cache bug cannot mask itself by affecting both engines.
+//! preserves the seed implementation: key-addressed peers and covariates,
+//! a row-built table, and no grounding cache, so neither a cache bug nor a
+//! row-indexing bug can mask itself by affecting both engines.
 //!
 //! Mirrors the methodology of checkers that validate a compact indexed
 //! representation against a reference semantics: the fast representation is
@@ -121,6 +122,18 @@ fn assert_unit_table_identical(engine: &CarlEngine, query: &str) {
     assert_eq!(
         c.covariate_cols, r.covariate_cols,
         "{query}: covariate columns"
+    );
+    // The dense peer map (row indices) lists every unit's peers exactly as
+    // the keyed reference map does, in the same order.
+    for (unit, peers) in columnar.peers.iter() {
+        let peers: Vec<_> = peers.collect();
+        let reference: Vec<_> = rowwise.peers[unit].iter().collect();
+        assert_eq!(peers, reference, "{query}: peers of {unit:?}");
+    }
+    assert_eq!(
+        columnar.peers.len(),
+        rowwise.peers.len(),
+        "{query}: peer map"
     );
     // Every numeric column, bit for bit. The rowwise table extracts per-row
     // `Value`s; the columnar table filled contiguous storage directly.

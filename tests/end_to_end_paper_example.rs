@@ -80,8 +80,10 @@ fn peers_match_section_4_3() {
         .prepare_str("AVG_Score[A] <= Prestige[A]?")
         .expect("query prepares");
     let peers_of = |who: &str| {
-        let mut ps: Vec<String> = prepared.peers[&vec![Value::from(who)]]
-            .iter()
+        let mut ps: Vec<String> = prepared
+            .peers
+            .get(&vec![Value::from(who)])
+            .expect("a unit")
             .map(|p| p[0].to_string())
             .collect();
         ps.sort();

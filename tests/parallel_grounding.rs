@@ -125,7 +125,7 @@ fn grounding_matrix_is_bit_identical_across_threads_and_morsels() {
         (Vec<String>, Vec<(String, String)>, Vec<(String, u64)>),
         Vec<UnitKey>,
         Vec<(String, Vec<u64>)>,
-        Vec<(UnitKey, Vec<UnitKey>)>,
+        carl::peers::PeerMap,
         String,
     ) {
         rayon::set_num_threads(threads);
@@ -146,8 +146,7 @@ fn grounding_matrix_is_bit_identical_across_threads_and_morsels() {
                 (name.to_string(), col.iter().map(|v| v.to_bits()).collect())
             })
             .collect();
-        let mut peers: Vec<(UnitKey, Vec<UnitKey>)> = prepared.peers.into_iter().collect();
-        peers.sort();
+        let peers = prepared.peers;
         (canonical(&grounded), ut.units.clone(), bits, peers, digest)
     };
 

@@ -12,7 +12,9 @@
 //! results — same unit tables column by column, same peer maps, same
 //! ATE / AIE / ARE / AOE, same error dispositions — on every dataset the
 //! columnar-vs-rowwise suite covers, and that the streamed results do not
-//! depend on the worker-thread count.
+//! depend on the worker-thread count. Peer maps are also checked against
+//! the key-addressed reference of [`carl::rowwise`], which shares no code
+//! with the dense peer walks both pipelines run.
 
 use carl::{CarlEngine, EstimatorKind, GroundingMode, QueryAnswer};
 use carl_datagen::{
@@ -71,6 +73,21 @@ fn assert_prepared_identical(streamed: &CarlEngine, materialised: &CarlEngine, q
     // walk) computations must agree exactly.
     assert_eq!(s.peers, m.peers, "{query}: peer maps");
     assert_eq!(s.response_attr, m.response_attr, "{query}: response attr");
+    // Both pipelines share the dense peer code; the key-addressed reference
+    // (over a fresh materialised grounding) shares none of it.
+    let reference = materialised
+        .prepare_rowwise(&carl::carl_lang::parse_query(query).expect("query parses"))
+        .expect("reference prepare");
+    for (unit, peers) in s.peers.iter() {
+        let peers: Vec<_> = peers.collect();
+        let expected: Vec<_> = reference.peers[unit].iter().collect();
+        assert_eq!(peers, expected, "{query}: peers of {unit:?} vs reference");
+    }
+    assert_eq!(
+        s.peers.len(),
+        reference.peers.len(),
+        "{query}: reference units"
+    );
 }
 
 /// Answer `query` through both pipelines and assert bit-identical answers
