@@ -12,6 +12,7 @@ use reldb::{UnitKey, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Process-wide count of [`GroundedAttr`] constructions.
 ///
@@ -104,19 +105,76 @@ impl fmt::Display for GroundedAttr {
 pub type NodeId = usize;
 
 /// The grounded relational causal graph `G(Φ_Δ)`.
+///
+/// Grounding builds the graph append-only: the grounder's own node table
+/// is the identity authority, so [`CausalGraph::push_node`] appends without
+/// deduplicating, and rule edges are buffered and folded into the
+/// adjacency lists in one pass ([`CausalGraph::fold_edges`]). Lookups by
+/// content ([`CausalGraph::node_id`]) and by attribute name
+/// ([`CausalGraph::nodes_of_attr`]) go through one index that is built on
+/// first use and kept in sync by later insertions.
 #[derive(Debug, Clone, Default)]
 pub struct CausalGraph {
     nodes: Vec<GroundedAttr>,
-    /// Content fingerprint → candidate node ids (collision-checked).
-    ///
-    /// Grounding inserts tens of thousands of nodes; keying the lookup on
-    /// a 64-bit FNV of the grounded attribute's canonical bytes avoids
-    /// cloning attribute strings and unit keys into a map key per node
-    /// (and the fast symbol hasher makes the probe a few ALU ops).
-    index: SymMap<u64, Vec<NodeId>>,
     parents: Vec<Vec<NodeId>>,
     children: Vec<Vec<NodeId>>,
+    index: OnceLock<NodeIndex>,
+}
+
+/// The graph's lookup index: content fingerprint → node, and attribute
+/// name → nodes in id order.
+#[derive(Debug, Clone, Default)]
+struct NodeIndex {
+    /// Content fingerprint → the first node with that fingerprint.
+    ///
+    /// Keying on a 64-bit FNV of the grounded attribute's canonical bytes
+    /// avoids cloning attribute strings and unit keys into a map key per
+    /// node (and the fast symbol hasher makes the probe a few ALU ops).
+    first: SymMap<u64, NodeId>,
+    /// Further nodes sharing a fingerprint with `first` (collisions, or
+    /// duplicates appended through [`CausalGraph::push_node`]), in id order.
+    more: SymMap<u64, Vec<NodeId>>,
     by_attr: HashMap<String, Vec<NodeId>>,
+}
+
+impl NodeIndex {
+    fn build(nodes: &[GroundedAttr]) -> Self {
+        let mut index = Self::default();
+        for (id, node) in nodes.iter().enumerate() {
+            index.insert(id, node);
+        }
+        index
+    }
+
+    fn insert(&mut self, id: NodeId, node: &GroundedAttr) {
+        let h = CausalGraph::fingerprint(node);
+        if let Some(&head) = self.first.get(&h) {
+            debug_assert!(head < id);
+            self.more.entry(h).or_default().push(id);
+        } else {
+            self.first.insert(h, id);
+        }
+        // Avoid cloning the attribute name except for its first node.
+        match self.by_attr.get_mut(&node.attr) {
+            Some(ids) => ids.push(id),
+            None => {
+                self.by_attr.insert(node.attr.clone(), vec![id]);
+            }
+        }
+    }
+
+    fn find(&self, nodes: &[GroundedAttr], node: &GroundedAttr) -> Option<NodeId> {
+        let h = CausalGraph::fingerprint(node);
+        let &head = self.first.get(&h)?;
+        if nodes[head] == *node {
+            return Some(head);
+        }
+        self.more
+            .get(&h)?
+            .iter()
+            .copied()
+            .find(|&id| nodes[id] == *node)
+    }
 }
 
 impl CausalGraph {
@@ -151,29 +209,33 @@ impl CausalGraph {
         h
     }
 
-    /// Add (or retrieve) the node for a grounded attribute.
-    pub fn add_node(&mut self, node: GroundedAttr) -> NodeId {
-        let h = Self::fingerprint(&node);
-        if let Some(ids) = self.index.get(&h) {
-            for &id in ids {
-                if self.nodes[id] == node {
-                    return id;
-                }
-            }
-        }
+    /// The lookup index, built on first use.
+    fn index(&self) -> &NodeIndex {
+        self.index.get_or_init(|| NodeIndex::build(&self.nodes))
+    }
+
+    /// Append a node without checking whether an equal one exists.
+    ///
+    /// For builders that own node identity (the grounder's node table
+    /// hands out each grounding once); [`CausalGraph::add_node`] is the
+    /// deduplicating entry point.
+    pub fn push_node(&mut self, node: GroundedAttr) -> NodeId {
         let id = self.nodes.len();
-        self.index.entry(h).or_default().push(id);
-        // Avoid cloning the attribute name except for its first node.
-        match self.by_attr.get_mut(&node.attr) {
-            Some(ids) => ids.push(id),
-            None => {
-                self.by_attr.insert(node.attr.clone(), vec![id]);
-            }
+        if let Some(index) = self.index.get_mut() {
+            index.insert(id, &node);
         }
         self.nodes.push(node);
         self.parents.push(Vec::new());
         self.children.push(Vec::new());
         id
+    }
+
+    /// Add (or retrieve) the node for a grounded attribute.
+    pub fn add_node(&mut self, node: GroundedAttr) -> NodeId {
+        match self.node_id(&node) {
+            Some(id) => id,
+            None => self.push_node(node),
+        }
     }
 
     /// Add an edge `parent → child`, deduplicating repeated insertions.
@@ -187,6 +249,74 @@ impl CausalGraph {
         }
     }
 
+    /// Add a batch of `(parent, child)` edges in one pass, with exactly the
+    /// result of calling [`CausalGraph::add_edge`] on each in order:
+    /// self-edges and repeats (of each other or of existing edges) are
+    /// dropped, and every parent and child list grows in first-insertion
+    /// order.
+    ///
+    /// Edges are bucketed by parent with a counting sort; within a bucket a
+    /// per-child stamp finds first occurrences, so the fold costs
+    /// `O(nodes + edges)` with no hashing and no per-edge list scans.
+    pub fn fold_edges(&mut self, edges: &[(u32, u32)]) {
+        assert!(
+            u32::try_from(edges.len()).is_ok(),
+            "edge buffer exceeds the u32 index space"
+        );
+        let n = self.nodes.len();
+        let mut start = vec![0u32; n + 1];
+        for &(p, c) in edges {
+            if p != c {
+                start[p as usize + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start.clone();
+        let mut bucket = vec![0u32; start[n] as usize];
+        for (e, &(p, c)) in edges.iter().enumerate() {
+            if p != c {
+                bucket[fill[p as usize] as usize] = e as u32;
+                fill[p as usize] += 1;
+            }
+        }
+
+        // `stamp[c] == p` marks `p → c` as already present.
+        let mut stamp = vec![u32::MAX; n];
+        let mut first = vec![false; edges.len()];
+        let mut in_degree = vec![0u32; n];
+        for p in 0..n {
+            let bucket = &bucket[start[p] as usize..start[p + 1] as usize];
+            if bucket.is_empty() {
+                continue;
+            }
+            let mark = p as u32;
+            let children = &mut self.children[p];
+            for &c in children.iter() {
+                stamp[c] = mark;
+            }
+            children.reserve_exact(bucket.len());
+            for &e in bucket {
+                let c = edges[e as usize].1 as usize;
+                if stamp[c] != mark {
+                    stamp[c] = mark;
+                    first[e as usize] = true;
+                    in_degree[c] += 1;
+                    children.push(c);
+                }
+            }
+        }
+        for (parents, &extra) in self.parents.iter_mut().zip(&in_degree) {
+            parents.reserve_exact(extra as usize);
+        }
+        for (&(p, c), &first) in edges.iter().zip(&first) {
+            if first {
+                self.parents[c as usize].push(p as usize);
+            }
+        }
+    }
+
     /// The grounded attribute of a node.
     pub fn node(&self, id: NodeId) -> &GroundedAttr {
         &self.nodes[id]
@@ -194,11 +324,7 @@ impl CausalGraph {
 
     /// Look up the node id of a grounded attribute.
     pub fn node_id(&self, node: &GroundedAttr) -> Option<NodeId> {
-        self.index
-            .get(&Self::fingerprint(node))?
-            .iter()
-            .copied()
-            .find(|&id| &self.nodes[id] == node)
+        self.index().find(&self.nodes, node)
     }
 
     /// Parents of a node.
@@ -213,7 +339,11 @@ impl CausalGraph {
 
     /// All node ids whose attribute name is `attr`.
     pub fn nodes_of_attr(&self, attr: &str) -> &[NodeId] {
-        self.by_attr.get(attr).map(|v| v.as_slice()).unwrap_or(&[])
+        self.index()
+            .by_attr
+            .get(attr)
+            .map(Vec::as_slice)
+            .unwrap_or(&[])
     }
 
     /// Iterate over `(id, node)` pairs.
@@ -470,6 +600,144 @@ mod tests {
     }
 
     #[test]
+    fn lookups_see_nodes_pushed_before_and_after_the_index_is_built() {
+        let mut g = CausalGraph::new();
+        let a = g.push_node(GroundedAttr::single("A", "x"));
+        let b = g.push_node(GroundedAttr::single("B", "x"));
+        // First lookup builds the index over the nodes pushed so far.
+        assert_eq!(g.node_id(&GroundedAttr::single("A", "x")), Some(a));
+        assert_eq!(g.nodes_of_attr("B"), &[b]);
+        // Later pushes land in the already-built index.
+        let a2 = g.push_node(GroundedAttr::single("A", "y"));
+        assert_eq!(g.node_id(&GroundedAttr::single("A", "y")), Some(a2));
+        assert_eq!(g.nodes_of_attr("A"), &[a, a2]);
+        assert_eq!(g.node_id(&GroundedAttr::single("A", "z")), None);
+        // A clone carries the built index along.
+        let c = g.clone();
+        assert_eq!(c.node_id(&GroundedAttr::single("A", "y")), Some(a2));
+        // Nodes pushed before any lookup are indexed on first use too.
+        let mut h = CausalGraph::new();
+        let ids: Vec<NodeId> = ["x", "y", "z"]
+            .iter()
+            .map(|k| h.push_node(GroundedAttr::single("C", *k)))
+            .collect();
+        assert_eq!(h.nodes_of_attr("C"), ids.as_slice());
+        assert_eq!(h.node_id(&GroundedAttr::single("C", "z")), Some(ids[2]));
+    }
+
+    #[test]
+    fn add_node_after_a_lookup_keeps_the_index_in_sync() {
+        let mut g = CausalGraph::new();
+        let a = g.push_node(GroundedAttr::single("A", "x"));
+        assert_eq!(g.nodes_of_attr("A"), &[a]);
+        // `add_node` probes the built index: an existing node dedups...
+        assert_eq!(g.add_node(GroundedAttr::single("A", "x")), a);
+        // ...and a new one is appended and indexed.
+        let b = g.add_node(GroundedAttr::single("A", "y"));
+        assert_ne!(a, b);
+        assert_eq!(g.add_node(GroundedAttr::single("A", "y")), b);
+        assert_eq!(g.node_id(&GroundedAttr::single("A", "y")), Some(b));
+        assert_eq!(g.nodes_of_attr("A"), &[a, b]);
+        assert_eq!(g.node_count(), 2);
+    }
+
+    #[test]
+    fn pushed_duplicates_resolve_to_the_first_node() {
+        let mut g = CausalGraph::new();
+        let first = g.push_node(GroundedAttr::single("A", "x"));
+        let again = g.push_node(GroundedAttr::single("A", "x"));
+        assert_ne!(first, again);
+        assert_eq!(g.node_id(&GroundedAttr::single("A", "x")), Some(first));
+        assert_eq!(g.add_node(GroundedAttr::single("A", "x")), first);
+        assert_eq!(g.nodes_of_attr("A"), &[first, again]);
+    }
+
+    /// Every parent and child list, in order.
+    fn adjacency(g: &CausalGraph) -> Vec<(Vec<NodeId>, Vec<NodeId>)> {
+        (0..g.node_count())
+            .map(|id| (g.parents_of(id).to_vec(), g.children_of(id).to_vec()))
+            .collect()
+    }
+
+    fn graph_of(n: usize) -> CausalGraph {
+        let mut g = CausalGraph::new();
+        for i in 0..n {
+            g.push_node(GroundedAttr::single("N", i as i64));
+        }
+        g
+    }
+
+    #[test]
+    fn fold_edges_matches_repeated_add_edge() {
+        type Edges = Vec<(u32, u32)>;
+        // (edges added one at a time first, the batch folded after them)
+        let cases: Vec<(Edges, Edges)> = vec![
+            // Duplicates, self-edges and interleaved insertion order.
+            (
+                vec![],
+                vec![
+                    (0, 3),
+                    (1, 3),
+                    (0, 3),
+                    (2, 2),
+                    (3, 4),
+                    (1, 4),
+                    (0, 4),
+                    (1, 3),
+                    (4, 5),
+                    (0, 5),
+                    (3, 4),
+                ],
+            ),
+            // Folding on top of edges added one at a time.
+            (
+                vec![(0, 1), (2, 1)],
+                vec![(2, 1), (0, 2), (0, 1), (3, 1), (1, 1), (0, 2)],
+            ),
+            (vec![], vec![]),
+        ];
+        for (existing, batch) in cases {
+            let mut folded = graph_of(6);
+            let mut one_by_one = graph_of(6);
+            for &(p, c) in &existing {
+                folded.add_edge(p as usize, c as usize);
+                one_by_one.add_edge(p as usize, c as usize);
+            }
+            folded.fold_edges(&batch);
+            for &(p, c) in &batch {
+                one_by_one.add_edge(p as usize, c as usize);
+            }
+            assert_eq!(folded.edge_count(), one_by_one.edge_count(), "{batch:?}");
+            assert_eq!(adjacency(&folded), adjacency(&one_by_one), "{batch:?}");
+        }
+
+        // Pseudo-random dense batches over a small graph, so duplicates,
+        // self-edges and interleavings are all frequent.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |bound: u32| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 33) % u64::from(bound)) as u32
+        };
+        for round in 0..50 {
+            let n = 1 + next(12);
+            let batch: Vec<(u32, u32)> = (0..next(60)).map(|_| (next(n), next(n))).collect();
+            let mut folded = graph_of(n as usize);
+            let mut one_by_one = graph_of(n as usize);
+            folded.fold_edges(&batch);
+            for &(p, c) in &batch {
+                one_by_one.add_edge(p as usize, c as usize);
+            }
+            assert_eq!(
+                adjacency(&folded),
+                adjacency(&one_by_one),
+                "round {round}: {batch:?}"
+            );
+        }
+    }
+
+    #[test]
     fn descendants_ancestors_and_ancestral_set() {
         let (g, ids) = figure_4_graph();
         let desc = g.descendants(ids["Qualification:Eva"]);
@@ -498,14 +766,19 @@ mod tests {
         // Regression: the fingerprint index must bucket no finer than
         // GroundedAttr equality. Int(2) == Float(2.0) per Value::eq, so a
         // node added with one variant must be found (and deduplicated)
-        // through the other.
+        // through the other — whether the index was built before or after
+        // the node went in.
         let mut g = CausalGraph::new();
         let float_node = GroundedAttr::new("Score", vec![Value::Float(2.0)]);
         let int_node = GroundedAttr::new("Score", vec![Value::Int(2)]);
         assert_eq!(float_node, int_node);
         let id = g.add_node(float_node.clone());
         assert_eq!(g.node_id(&int_node), Some(id));
-        assert_eq!(g.add_node(int_node), id, "no duplicate node");
+        assert_eq!(g.add_node(int_node.clone()), id, "no duplicate node");
         assert_eq!(g.node_count(), 1);
+
+        let mut pushed = CausalGraph::new();
+        let id = pushed.push_node(float_node);
+        assert_eq!(pushed.node_id(&int_node), Some(id));
     }
 }

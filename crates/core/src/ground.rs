@@ -69,17 +69,6 @@ pub fn analysis_pruning() -> bool {
     ANALYSIS_PRUNING.load(std::sync::atomic::Ordering::SeqCst)
 }
 
-/// Process-wide count of full-model patch-safety rescans (calls to the
-/// legacy [`attribute_delta_patchable`] walk). The commit fast path now
-/// consults the precomputed [`PatchSafety`] classification instead, so
-/// this counter lets tests prove no per-commit rescans remain.
-static SCREEN_RESCANS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Total legacy patch-safety rescans performed by this process so far.
-pub fn screen_rescan_count() -> u64 {
-    SCREEN_RESCANS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
 /// The result of grounding a relational causal model against an instance:
 /// the grounded causal graph plus the derived values of aggregate attributes.
 #[derive(Debug, Clone)]
@@ -370,6 +359,8 @@ struct NodeTable {
     /// surface as a typed [`CarlError::Grounding`] rather than index (or
     /// resize) dense storage out of bounds.
     sig_bound: usize,
+    /// Signature buffer reused by multi-argument probes.
+    sig_buf: Vec<u32>,
 }
 
 impl NodeTable {
@@ -414,23 +405,65 @@ impl NodeTable {
         guard_sig(attr, sig, self.sig_bound)
     }
 
-    /// Register an externally created node (an aggregate head, added to the
-    /// graph only after its group closes) under its signature, so that
-    /// later signature lookups — both the memoised `node_id` path and the
-    /// read-only extension lookups — see it like any rule-created node.
-    fn record(&mut self, attr_id: usize, sig: &SigKey, id: NodeId) {
+    /// The node for a single-argument signature, appending one keyed
+    /// `attr[key()]` to the graph on first sight. This lookup-or-append is
+    /// the only way grounding creates nodes, so the table stays a complete
+    /// index of the graph and the graph never has to deduplicate.
+    fn intern_single(
+        &mut self,
+        graph: &mut CausalGraph,
+        attr: &str,
+        attr_id: usize,
+        sig: usize,
+        key: impl FnOnce() -> CarlResult<UnitKey>,
+    ) -> CarlResult<NodeId> {
+        let ids = &mut self.single[attr_id];
+        if sig >= ids.len() {
+            ids.resize(sig + 1, GroundedNodeId::NONE);
+        }
+        if ids[sig] != GroundedNodeId::NONE {
+            return Ok(ids[sig].index());
+        }
+        let id = graph.push_node(GroundedAttr::new(attr, key()?));
+        self.single[attr_id][sig] = GroundedNodeId::from_node(id);
+        Ok(id)
+    }
+
+    /// [`NodeTable::intern_single`] for a full (other-arity) signature.
+    fn intern_multi(
+        &mut self,
+        graph: &mut CausalGraph,
+        attr: &str,
+        attr_id: usize,
+        sig: &[u32],
+        key: impl FnOnce() -> CarlResult<UnitKey>,
+    ) -> CarlResult<NodeId> {
+        if let Some(&id) = self.multi[attr_id].get(sig) {
+            return Ok(id.index());
+        }
+        let id = graph.push_node(GroundedAttr::new(attr, key()?));
+        self.multi[attr_id].insert(sig.to_vec(), GroundedNodeId::from_node(id));
+        Ok(id)
+    }
+
+    /// The node of an aggregate head, whose group closed with signature
+    /// `sig` and key `key`. A head an earlier statement already grounded
+    /// (an aggregate of the same name) resolves to that node; later
+    /// aggregates and read-only extension lookups find it as a source.
+    fn intern_head(
+        &mut self,
+        graph: &mut CausalGraph,
+        attr: &str,
+        attr_id: usize,
+        sig: &SigKey,
+        key: UnitKey,
+    ) -> CarlResult<NodeId> {
         match sig {
             SigKey::Single(sig) => {
-                let sig = *sig as usize;
-                let ids = &mut self.single[attr_id];
-                if sig >= ids.len() {
-                    ids.resize(sig + 1, GroundedNodeId::NONE);
-                }
-                ids[sig] = GroundedNodeId::from_node(id);
+                let sig = self.checked_sig(attr, *sig)?;
+                self.intern_single(graph, attr, attr_id, sig, || Ok(key))
             }
-            SigKey::Multi(sig) => {
-                self.multi[attr_id].insert(sig.clone(), GroundedNodeId::from_node(id));
-            }
+            SigKey::Multi(sig) => self.intern_multi(graph, attr, attr_id, sig, || Ok(key)),
         }
     }
 
@@ -445,29 +478,18 @@ impl NodeTable {
         row: &[Sym],
         answers: &TupleAnswers<'_>,
     ) -> CarlResult<NodeId> {
+        let key = || resolve_args(spec, row, answers);
         if let [arg] = spec {
             let sig = self.checked_sig(attr, arg_sig(arg, row)?)?;
-            let ids = &mut self.single[attr_id];
-            if sig >= ids.len() {
-                ids.resize(sig + 1, GroundedNodeId::NONE);
-            }
-            if ids[sig] != GroundedNodeId::NONE {
-                return Ok(ids[sig].index());
-            }
-            let key = resolve_args(spec, row, answers)?;
-            let id = graph.add_node(GroundedAttr::new(attr, key));
-            self.single[attr_id][sig] = GroundedNodeId::from_node(id);
-            return Ok(id);
+            return self.intern_single(graph, attr, attr_id, sig, key);
         }
-        let mut signature = Vec::with_capacity(spec.len());
-        sig_into(spec, row, &mut signature)?;
-        if let Some(&id) = self.multi[attr_id].get(signature.as_slice()) {
-            return Ok(id.index());
-        }
-        let key = resolve_args(spec, row, answers)?;
-        let id = graph.add_node(GroundedAttr::new(attr, key));
-        self.multi[attr_id].insert(signature, GroundedNodeId::from_node(id));
-        Ok(id)
+        // The signature buffer is reused across rows: a hit allocates
+        // nothing, a miss copies it into the table once.
+        let mut sig = std::mem::take(&mut self.sig_buf);
+        let id = sig_into(spec, row, &mut sig)
+            .and_then(|()| self.intern_multi(graph, attr, attr_id, &sig, key));
+        self.sig_buf = sig;
+        id
     }
 }
 
@@ -616,10 +638,12 @@ pub fn ground_with(
     // across the whole merge on `(attribute, argument signature)` (see
     // [`NodeTable`]), so repeated groundings cost a bounds check instead of
     // re-resolving values and re-hashing string-keyed `GroundedAttr`s.
+    // Edges are buffered and folded into the graph once, at the end.
     let interner = instance.skeleton().interner();
     let mut consts = ConstSyms::new(interner.len());
     let mut nodes = NodeTable::default();
     let mut graph = CausalGraph::new();
+    let mut edges: Vec<(u32, u32)> = Vec::new();
     for (rule, prep) in model.rules().iter().zip(&prepped) {
         let Some(answers) = evaluated.next().expect("one answer batch per condition") else {
             continue; // dead rule: no row can survive its condition
@@ -654,7 +678,7 @@ pub fn ground_with(
             for (body, (attr_id, spec)) in rule.body.iter().zip(&body_specs) {
                 let body_id =
                     nodes.node_id(&mut graph, &body.attr, *attr_id, spec, row, &answers)?;
-                graph.add_edge(body_id, head_id);
+                edges.push((body_id as u32, head_id as u32));
             }
         }
     }
@@ -672,6 +696,7 @@ pub fn ground_with(
         let head_spec = arg_slots(&agg.head_args, &answers, interner, &mut consts);
         let source_spec = arg_slots(&agg.source.args, &answers, interner, &mut consts);
         let source_attr_id = nodes.attr_id(&agg.source.attr);
+        let head_attr_id = nodes.attr_id(&agg.name);
         nodes.set_sig_bound(consts.bound());
         // Per-binding substitution raises unbound-variable errors only when
         // an answer actually survives; mirror that exactly.
@@ -679,6 +704,7 @@ pub fn ground_with(
 
         struct Group {
             head_key: UnitKey,
+            sig: SigKey,
             /// (source node id, observed-or-derived value) per distinct
             /// source grounding, in first-seen order.
             sources: Vec<(usize, Option<f64>)>,
@@ -707,6 +733,10 @@ pub fn ground_with(
                 None => {
                     groups.push(Group {
                         head_key: resolve_args(&head_spec, row, &answers)?,
+                        sig: match group_sig.as_slice() {
+                            [sig] => SigKey::Single(*sig),
+                            sig => SigKey::Multi(sig.to_vec()),
+                        },
                         sources: Vec::new(),
                         seen: SymSet::default(),
                     });
@@ -743,21 +773,27 @@ pub fn ground_with(
 
         let agg_fn = agg_fn_of(agg.agg);
         for group in groups {
-            let head_node = GroundedAttr::new(&agg.name, group.head_key);
-            let head_id = graph.add_node(head_node.clone());
+            let head_id = nodes.intern_head(
+                &mut graph,
+                &agg.name,
+                head_attr_id,
+                &group.sig,
+                group.head_key,
+            )?;
             let mut values = Vec::with_capacity(group.sources.len());
             for &(source_id, value) in &group.sources {
-                graph.add_edge(source_id, head_id);
+                edges.push((source_id as u32, head_id as u32));
                 if let Some(v) = value {
                     values.push(v);
                 }
             }
             if let Some(v) = agg_fn.apply(&values) {
-                derived.insert(head_node, v);
+                derived.insert(graph.node(head_id).clone(), v);
             }
         }
     }
 
+    graph.fold_edges(&edges);
     let t3 = std::time::Instant::now();
     if let Err(attr) = graph.topological_order() {
         return Err(CarlError::CyclicModel(attr));
@@ -908,8 +944,8 @@ impl StreamedModel {
     /// of array reads.
     ///
     /// Sound because the node table is a *complete* index of the graph:
-    /// every rule-created node registers through `NodeTable::node_id` and
-    /// every aggregate head through `NodeTable::record`, and every key value
+    /// the grounder creates every node — rule groundings and aggregate
+    /// heads alike — through the table's lookup-or-append, and every key value
     /// of every node has a signature symbol (skeleton interner or merge
     /// pseudo-symbol). A key that fails to resolve therefore names no node.
     pub fn node_of(&self, attr: &str, key: &UnitKey) -> Option<NodeId> {
@@ -1009,6 +1045,7 @@ fn merge_rule_batch(
     instance: &Instance,
     nodes: &mut NodeTable,
     graph: &mut CausalGraph,
+    edges: &mut Vec<(u32, u32)>,
     answers: &TupleAnswers<'_>,
 ) -> CarlResult<()> {
     for row in answers.rows() {
@@ -1025,7 +1062,7 @@ fn merge_rule_batch(
         )?;
         for (body, (attr_id, spec)) in rule.body.iter().zip(&specs.body_specs) {
             let body_id = nodes.node_id(graph, &body.attr, *attr_id, spec, row, answers)?;
-            graph.add_edge(body_id, head_id);
+            edges.push((body_id as u32, head_id as u32));
         }
     }
     Ok(())
@@ -1416,7 +1453,8 @@ fn merge_agg_batch<R: SourceResolver>(
 /// Where [`ground_with`] materialises every condition's full answer set and
 /// then walks it, this path pipes each condition's register-tuple chunks
 /// straight off the executor into the merge — rule chunks fold into the
-/// grounded-node table and the graph's adjacency directly, and aggregate chunks
+/// grounded-node table and a flat edge buffer (folded into the graph's
+/// adjacency once, at the end), and aggregate chunks
 /// fold into dense signature-indexed group tables whose results land in the
 /// per-attribute [`FloatColumn`] sinks of a [`StreamedModel`]. No
 /// `O(answers)` intermediate is ever resident and no string-keyed derived
@@ -1472,6 +1510,9 @@ pub fn ground_streaming(
     let mut consts = ConstSyms::new(interner.len());
     let mut nodes = NodeTable::default();
     let mut graph = CausalGraph::new();
+    // Every edge of the ground, in insertion order, folded into the graph
+    // once both phases are done.
+    let mut edges: Vec<(u32, u32)> = Vec::new();
 
     let t0 = std::time::Instant::now();
     // Phase 1: stream-merge the causal rules, in rule order. Dead rules
@@ -1512,7 +1553,9 @@ pub fn ground_streaming(
                     });
                 }
                 let specs = specs.as_ref().expect("specs compiled above");
-                merge_rule_batch(rule, specs, instance, &mut nodes, &mut graph, answers)
+                merge_rule_batch(
+                    rule, specs, instance, &mut nodes, &mut graph, &mut edges, answers,
+                )
             },
         )?;
     }
@@ -1573,15 +1616,17 @@ pub fn ground_streaming(
         let head_attr_id = store.attr_id(&agg.name);
         let head_node_attr = nodes.attr_id(&agg.name);
         for group in tables.groups {
-            let head_id = graph.add_node(GroundedAttr::new(&agg.name, group.head_key));
-            // Register the head in the node memo: later aggregates (and
-            // read-only aggregate-extension lookups) may reference it as a
-            // *source* grounding.
-            nodes.record(head_node_attr, &group.sig, head_id);
+            let head_id = nodes.intern_head(
+                &mut graph,
+                &agg.name,
+                head_node_attr,
+                &group.sig,
+                group.head_key,
+            )?;
             let mut values = Vec::with_capacity(group.sources.len());
             for &(source_id, value) in &group.sources {
                 let source_id = source_id.expect("merge resolver creates every source node");
-                graph.add_edge(source_id.index(), head_id);
+                edges.push((source_id.0, head_id as u32));
                 if let Some(v) = value {
                     values.push(v);
                 }
@@ -1592,6 +1637,7 @@ pub fn ground_streaming(
         }
     }
     store.consts = consts.lookup;
+    graph.fold_edges(&edges);
 
     let t2 = std::time::Instant::now();
     if let Err(attr) = graph.topological_order() {
@@ -1616,69 +1662,6 @@ pub fn ground_streaming(
 // ---------------------------------------------------------------------------
 // Incremental patching of a streamed base grounding (delta grounding).
 // ---------------------------------------------------------------------------
-
-/// Whether an **attribute-only** delta touching exactly the attributes in
-/// `touched` can be patched into an existing [`StreamedModel`] of `model`
-/// rather than re-grounding cold.
-///
-/// The streamed graph's *structure* (nodes, edges, and their insertion
-/// order — which fixes `parents_of` order and hence the bit-exact fold
-/// order of every aggregate) depends only on the skeleton and on which
-/// condition rows survive the rules' comparisons. Attribute values enter
-/// structure through exactly one door: condition comparisons. So a delta
-/// is patchable when
-///
-/// * no touched attribute appears in any rule or aggregate condition
-///   comparison (the surviving row set — and with it groups, sources and
-///   edges — is provably unchanged), and
-/// * no touched attribute is itself an aggregate head (an observed cell
-///   shadow-interleaving with derived values is rare enough to not be
-///   worth the extra reasoning on the fast path), and
-/// * aggregate head names are unique and disjoint from rule head
-///   attributes (otherwise a head node's `parents_of` mixes rule-body
-///   parents into the aggregate's source fold and the patch could not
-///   reconstruct the cold fold order).
-///
-/// Anything else — and any structural delta, which the caller must screen
-/// out first via [`reldb::DeltaSet::is_structural`] — takes the cold
-/// re-ground path. Fallback is always correct; this predicate only gates
-/// the optimisation.
-#[cfg_attr(not(test), allow(dead_code))] // superseded by `PatchSafety`; kept as the tests' reference
-pub(crate) fn attribute_delta_patchable(
-    model: &RelationalCausalModel,
-    touched: &std::collections::BTreeSet<&str>,
-) -> bool {
-    use std::collections::BTreeSet;
-    // Every call walks the whole model; the commit path must never get
-    // here (it consults the precomputed `PatchSafety` instead), and the
-    // counter is how tests prove that.
-    SCREEN_RESCANS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    if touched.is_empty() {
-        return true;
-    }
-    let rules = model.rules();
-    let aggregates = model.aggregates();
-    let conditions = rules
-        .iter()
-        .map(|r| &r.condition)
-        .chain(aggregates.iter().map(|a| &a.condition));
-    for cond in conditions {
-        for cmp in &cond.comparisons {
-            if touched.contains(cmp.attr.attr.as_str()) {
-                return false;
-            }
-        }
-    }
-    let mut agg_names: BTreeSet<&str> = BTreeSet::new();
-    for agg in aggregates {
-        if !agg_names.insert(agg.name.as_str()) || touched.contains(agg.name.as_str()) {
-            return false;
-        }
-    }
-    !rules
-        .iter()
-        .any(|rule| agg_names.contains(rule.head.attr.as_str()))
-}
 
 /// Why a program (or one of its attributes) blocks the incremental
 /// attribute-patch fast path. Machine-readable so tooling (`carl-check
@@ -1730,20 +1713,37 @@ impl std::fmt::Display for PatchBlock {
     }
 }
 
-/// Precomputed per-program patch-safety classification: the whole-program
-/// replacement for the per-commit `attribute_delta_patchable` rescan.
+/// Precomputed per-program patch-safety classification: which
+/// **attribute-only** deltas can be patched into an existing
+/// [`StreamedModel`] rather than re-grounding cold.
+///
+/// The streamed graph's *structure* (nodes, edges, and their insertion
+/// order — which fixes `parents_of` order and hence the bit-exact fold
+/// order of every aggregate) depends only on the skeleton and on which
+/// condition rows survive the rules' comparisons. Attribute values enter
+/// structure through exactly one door: condition comparisons. So a delta
+/// is patchable when
+///
+/// * no touched attribute is read by a comparison of a *live* statement
+///   (a statement the analysis proved dead filters no row, so its reads
+///   are inert), and
+/// * no touched attribute is itself an aggregate head (observed cells
+///   shadow-interleaving with derived values are not worth the extra
+///   reasoning on the fast path), and
+/// * aggregate head names are unique and disjoint from rule head
+///   attributes (otherwise a head node's `parents_of` mixes other parents
+///   into the aggregate's source fold and the patch could not reconstruct
+///   the cold fold order).
 ///
 /// Computed once at engine build from the model's statically-analysed
-/// structure. Strictly more precise than the legacy rescan: comparison
-/// reads inside **dead** statements (conditions proven unsatisfiable, so
-/// they can never filter a row) no longer block the fast path, while
-/// everything the legacy screen allowed is still allowed.
+/// structure. Structural deltas ([`reldb::DeltaSet::is_structural`]) are
+/// screened out by the caller first; falling back to a cold re-ground is
+/// always correct, so this classification only gates the optimisation.
 #[derive(Debug, Clone, Default)]
 pub struct PatchSafety {
     /// A program-wide blocker: when set, no non-empty attribute delta can
-    /// take the fast path (same shape conditions the legacy screen
-    /// enforced over all statements, dead or not — they concern fold
-    /// structure, not row survival).
+    /// take the fast path (collected over all statements, dead or not —
+    /// these concern fold structure, not row survival).
     pub global: Option<PatchBlock>,
     /// Per-attribute blockers: a delta touching any of these attributes
     /// must re-ground cold, for the recorded (first) reason.
@@ -1753,9 +1753,8 @@ pub struct PatchSafety {
 impl PatchSafety {
     /// Classify `model` once. Comparison reads are collected from live
     /// statements only (skipping statements the analysis proved dead);
-    /// aggregate-name constraints are collected from all statements, as in
-    /// the legacy screen, since they constrain the fold structure of the
-    /// grounding itself.
+    /// aggregate-name constraints are collected from all statements, since
+    /// they constrain the fold structure of the grounding itself.
     pub fn of(model: &RelationalCausalModel) -> Self {
         let mut safety = PatchSafety::default();
         let mut record = |attr: &str, block: PatchBlock| {
@@ -1869,7 +1868,7 @@ fn sig_key_of(
 /// Patch `base` (grounded from the *previous* epoch under `model`) into
 /// the grounding of `instance` (the *next* epoch), given that the two
 /// epochs differ only in the attribute cells listed in `changed` and that
-/// [`attribute_delta_patchable`] held for the touched attributes.
+/// [`PatchSafety::delta_patchable`] held for the touched attributes.
 ///
 /// The graph, node table and constant pseudo-symbols carry over untouched
 /// — the eligibility check proved the structure identical. What can change
@@ -2454,6 +2453,61 @@ mod tests {
     }
 
     #[test]
+    fn aggregate_heads_shared_with_other_statements_get_one_node_per_grounding() {
+        // Two aggregates share the head `AVG_Score` and `MAX_AVG_Score`
+        // aggregates over it: every aggregate head must resolve to the node
+        // an earlier statement grounded, in both grounders. (A causal rule
+        // cannot share an aggregate's head: validation rejects that with
+        // E0003, so this is the one program shape where heads collide.)
+        let schema = RelationalSchema::review_example();
+        let program = parse_program(
+            r#"
+            AVG_Score[A]     <= Qualification[A] WHERE Person(A)
+            AVG_Score[A]     <= Score[S]         WHERE Author(A, S)
+            MAX_AVG_Score[S] <= AVG_Score[A]     WHERE Author(A, S)
+            "#,
+        )
+        .unwrap();
+        let model = RelationalCausalModel::new(schema, program).unwrap();
+        assert_eq!(
+            PatchSafety::of(&model).global,
+            Some(PatchBlock::DuplicateAggregateName("AVG_Score".into()))
+        );
+        let instance = Instance::review_example();
+        let cache = IndexCache::for_instance(&instance);
+        let materialised = ground_with(&model, &instance, &cache).unwrap();
+        let streamed = ground_streaming(&model, &instance, &cache).unwrap();
+        for graph in [&materialised.graph, &*streamed.graph] {
+            let distinct: std::collections::HashSet<&GroundedAttr> =
+                graph.iter().map(|(_, node)| node).collect();
+            assert_eq!(distinct.len(), graph.node_count(), "duplicate nodes");
+            assert_eq!(graph.nodes_of_attr("AVG_Score").len(), 3);
+            assert_eq!(graph.nodes_of_attr("MAX_AVG_Score").len(), 3);
+            // Bob's head carries the rule edge and the aggregate's edge.
+            let bob = graph
+                .node_id(&GroundedAttr::single("AVG_Score", "Bob"))
+                .unwrap();
+            let parents: Vec<&str> = graph
+                .parents_of(bob)
+                .iter()
+                .map(|&p| graph.node(p).attr.as_str())
+                .collect();
+            assert_eq!(parents, ["Qualification", "Score"]);
+            // The second aggregate's sources are the first one's heads.
+            let s1 = graph
+                .node_id(&GroundedAttr::single("MAX_AVG_Score", "s1"))
+                .unwrap();
+            assert!(graph.parents_of(s1).contains(&bob));
+        }
+        assert_eq!(materialised.graph.node_count(), streamed.graph.node_count());
+        let max_s1 = GroundedAttr::single("MAX_AVG_Score", "s1");
+        assert_eq!(
+            materialised.value_of(&instance, &max_s1).map(f64::to_bits),
+            streamed.value_of(&instance, &max_s1).map(f64::to_bits)
+        );
+    }
+
+    #[test]
     fn patch_matches_cold_reground_on_attribute_deltas() {
         let model = review_model();
         let base_inst = Instance::review_example();
@@ -2481,7 +2535,7 @@ mod tests {
             ])
             .unwrap();
         assert!(!delta.is_structural());
-        assert!(attribute_delta_patchable(&model, &delta.touched_attrs()));
+        assert!(PatchSafety::of(&model).delta_patchable(&delta.touched_attrs()));
 
         let patched = patch_streamed(&base, &model, &next_inst, &delta.changed_cells())
             .expect("delta is patchable");
@@ -2524,52 +2578,61 @@ mod tests {
         )
         .unwrap();
         let model = RelationalCausalModel::new(schema, program).unwrap();
+        let safety = PatchSafety::of(&model);
         let gated: std::collections::BTreeSet<&str> = ["Qualification"].into_iter().collect();
         // Qualification gates which rows ground → structure could change.
-        assert!(!attribute_delta_patchable(&model, &gated));
+        assert!(!safety.delta_patchable(&gated));
         // Score only feeds values, never structure.
         let safe: std::collections::BTreeSet<&str> = ["Score"].into_iter().collect();
-        assert!(attribute_delta_patchable(&model, &safe));
+        assert!(safety.delta_patchable(&safe));
         // A touched aggregate head is refused too.
         let head: std::collections::BTreeSet<&str> = ["AVG_Score"].into_iter().collect();
-        assert!(!attribute_delta_patchable(&model, &head));
+        assert!(!safety.delta_patchable(&head));
     }
 
     #[test]
-    fn patch_safety_agrees_with_the_legacy_screen_when_nothing_is_dead() {
-        // With no dead statements the precomputed screen must answer every
-        // delta exactly like the per-commit rescan it replaces.
-        for rules in [
-            r#"
+    fn patch_safety_verdicts_hold_when_nothing_is_dead() {
+        // With no dead statements, a delta patches unless it touches a
+        // comparison-read attribute or an aggregate head. Columns follow
+        // `touched`; each row is one program's verdicts.
+        let touched = [
+            vec![],
+            vec!["Score"],
+            vec!["Qualification"],
+            vec!["Blind"],
+            vec!["AVG_Score"],
+            vec!["Score", "Qualification"],
+            vec!["Prestige", "Quality"],
+        ];
+        for (rules, verdicts) in [
+            (
+                r#"
             Prestige[A]  <= Qualification[A]              WHERE Person(A)
             Quality[S]   <= Qualification[A], Prestige[A] WHERE Author(A, S)
             Score[S]     <= Prestige[A]                   WHERE Author(A, S)
             AVG_Score[A] <= Score[S]                      WHERE Author(A, S)
             "#,
-            r#"
+                [true, true, true, true, false, true, true],
+            ),
+            (
+                r#"
             Score[S] <= Prestige[A] WHERE Author(A, S), Qualification[A] > 10.0
             AVG_Score[A] <= Score[S] WHERE Author(A, S), Blind[C] = true, Submitted(S, C)
             "#,
-            "Prestige[A] <= Qualification[A] WHERE Person(A)",
+                [true, true, false, false, false, false, true],
+            ),
+            ("Prestige[A] <= Qualification[A] WHERE Person(A)", [true; 7]),
         ] {
             let schema = RelationalSchema::review_example();
             let model = RelationalCausalModel::new(schema, parse_program(rules).unwrap()).unwrap();
             let safety = PatchSafety::of(&model);
-            for touched_attrs in [
-                vec![],
-                vec!["Score"],
-                vec!["Qualification"],
-                vec!["Blind"],
-                vec!["AVG_Score"],
-                vec!["Score", "Qualification"],
-                vec!["Prestige", "Quality"],
-            ] {
+            for (touched_attrs, expected) in touched.iter().zip(verdicts) {
                 let touched: std::collections::BTreeSet<&str> =
                     touched_attrs.iter().copied().collect();
                 assert_eq!(
                     safety.delta_patchable(&touched),
-                    attribute_delta_patchable(&model, &touched),
-                    "screens disagree on {touched_attrs:?} for program {rules}"
+                    expected,
+                    "verdict on {touched_attrs:?} for program {rules}"
                 );
             }
         }
@@ -2580,8 +2643,7 @@ mod tests {
         // The precision win: `Score` is read only by the comparisons of a
         // rule whose condition is statically unsatisfiable (an empty
         // interval), so a Score delta cannot change which rows survive —
-        // the dead rule never fires either way. The legacy rescan forces a
-        // cold rebuild; the analysis-backed screen patches.
+        // the dead rule never fires either way, so the screen patches.
         let schema = RelationalSchema::review_example();
         let program = parse_program(
             r#"
@@ -2594,13 +2656,11 @@ mod tests {
         assert!(model.rule_is_dead(1));
         let safety = PatchSafety::of(&model);
         let touched: std::collections::BTreeSet<&str> = ["Score"].into_iter().collect();
-        assert!(!attribute_delta_patchable(&model, &touched));
         assert!(safety.delta_patchable(&touched));
         assert!(!safety.unsafe_attrs.contains_key("Score"));
-        // Qualification is read by no comparison at all: both screens agree.
+        // Qualification is read by no comparison at all.
         let quals: std::collections::BTreeSet<&str> = ["Qualification"].into_iter().collect();
         assert!(safety.delta_patchable(&quals));
-        assert!(attribute_delta_patchable(&model, &quals));
     }
 
     #[test]

@@ -85,8 +85,8 @@ pub use graph::{
 };
 pub use ground::{
     analysis_pruning, ground, ground_aggregate_extension, ground_streaming, ground_with,
-    ground_with_bindings, screen_rescan_count, set_analysis_pruning, AggregateExtension,
-    GroundedModel, GroundedValues, PatchBlock, PatchSafety, StreamedModel,
+    ground_with_bindings, set_analysis_pruning, AggregateExtension, GroundedModel, GroundedValues,
+    PatchBlock, PatchSafety, StreamedModel,
 };
 pub use history::{check_history, digest_answer, HistoryEvent, HistoryLog, Violation};
 pub use model::RelationalCausalModel;

@@ -115,12 +115,6 @@ pub struct CommitStats {
     /// Commits that rebuilt the engine cold (structural or otherwise
     /// unpatchable deltas, or [`CommitMode::Cold`]).
     pub cold: u64,
-    /// Legacy per-commit patch-eligibility rescans observed since this
-    /// service was built. The commit path consults the engine's
-    /// precomputed [`crate::ground::PatchSafety`] screen instead of
-    /// re-walking the program, so in a process that never calls the legacy
-    /// screen directly this stays 0 no matter how many commits land.
-    pub screen_rescans: u64,
 }
 
 /// One immutable epoch of the database together with the engine built over
@@ -179,10 +173,6 @@ pub struct SnapshotEngine {
     incremental_commits: AtomicU64,
     /// Cold-rebuild commits served so far.
     cold_commits: AtomicU64,
-    /// Process-wide legacy-rescan count at construction, so
-    /// [`SnapshotEngine::commit_stats`] reports rescans *since* this
-    /// service was built.
-    rescan_base: u64,
 }
 
 impl SnapshotEngine {
@@ -203,7 +193,6 @@ impl SnapshotEngine {
             commit_mode: Mutex::new(CommitMode::default()),
             incremental_commits: AtomicU64::new(0),
             cold_commits: AtomicU64::new(0),
-            rescan_base: crate::ground::screen_rescan_count(),
         })
     }
 
@@ -229,15 +218,11 @@ impl SnapshotEngine {
             .unwrap_or_else(PoisonError::into_inner) = mode;
     }
 
-    /// How many commits took the incremental fast path vs a cold rebuild,
-    /// and how many legacy per-commit eligibility rescans ran since this
-    /// service was built (0 unless something calls the legacy screen —
-    /// the commit path itself never does).
+    /// How many commits took the incremental fast path vs a cold rebuild.
     pub fn commit_stats(&self) -> CommitStats {
         CommitStats {
             incremental: self.incremental_commits.load(Ordering::Relaxed),
             cold: self.cold_commits.load(Ordering::Relaxed),
-            screen_rescans: crate::ground::screen_rescan_count().saturating_sub(self.rescan_base),
         }
     }
 
@@ -480,8 +465,6 @@ mod tests {
                 value: Value::Float(0.95),
             }])
             .unwrap();
-        // Tuple compare: `screen_rescans` reads a process-global counter
-        // that other tests in this binary may bump concurrently.
         let stats = service.commit_stats();
         assert_eq!((stats.incremental, stats.cold), (1, 0));
         // The patched epoch answers bit-identically to a cold rebuild of

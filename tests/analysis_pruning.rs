@@ -7,12 +7,11 @@
 //!
 //! It also pins the patch-safety upgrade: a program whose *dead* rule reads
 //! an attribute in a condition comparison used to force every commit
-//! touching that attribute down the cold-rebuild path (the legacy
-//! `attribute_delta_patchable` rescan blocked on all comparison reads); the
-//! precomputed [`carl::PatchSafety`] screen ignores dead readers, so the
-//! commit now patches — bit-identical to a cold engine, clean under
-//! [`carl::check_history`], and with zero per-commit screen rescans
-//! ([`carl::CommitStats::screen_rescans`]).
+//! touching that attribute down the cold-rebuild path (the old per-commit
+//! screen blocked on all comparison reads); the precomputed
+//! [`carl::PatchSafety`] screen ignores dead readers, so the commit now
+//! patches — bit-identical to a cold engine and clean under
+//! [`carl::check_history`].
 //!
 //! The pruning toggle and the rayon worker count are process-global, so
 //! every test serialises on [`PRUNING_LOCK`].
@@ -212,10 +211,6 @@ fn dead_comparison_reads_no_longer_force_cold_rebuilds() {
         (3, 0),
         "commits touching a dead rule's comparison read must patch: {stats:?}"
     );
-    assert_eq!(
-        stats.screen_rescans, 0,
-        "the per-commit attribute_delta_patchable rescan must be gone"
-    );
 
     let violations =
         carl::check_history(&ds.instance, service.program(), &log.events()).expect("checker runs");
@@ -226,11 +221,10 @@ fn dead_comparison_reads_no_longer_force_cold_rebuilds() {
     );
 }
 
-/// Every commit previously on the fast path stays there: PatchSafety's
-/// blocked set is a subset of the legacy screen's (live comparison reads
-/// and aggregate heads only), so the stock cascade program from the
-/// incremental-vs-cold harness still patches all attribute-only batches —
-/// now without any per-commit rescan.
+/// Every commit previously on the fast path stays there: PatchSafety
+/// blocks only live comparison reads and aggregate heads, so the stock
+/// cascade program from the incremental-vs-cold harness still patches all
+/// attribute-only batches.
 #[test]
 fn previously_fast_pathed_commits_still_fast_path_without_rescans() {
     let _guard = lock();
@@ -258,7 +252,6 @@ fn previously_fast_pathed_commits_still_fast_path_without_rescans() {
     }
     let stats = service.commit_stats();
     assert_eq!((stats.incremental, stats.cold), (4, 0), "{stats:?}");
-    assert_eq!(stats.screen_rescans, 0, "no per-commit screen rescans");
 }
 
 /// One fuzzed extra rule over the review schema: a comparison chain whose
