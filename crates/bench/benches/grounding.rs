@@ -22,7 +22,7 @@ fn bench_grounding(c: &mut Criterion) {
         let engine = CarlEngine::new(ds.instance, &ds.rules).expect("model binds to schema");
         group.bench_with_input(BenchmarkId::from_parameter(papers), &papers, |b, _| {
             b.iter(|| {
-                let grounded = engine.ground_model().expect("grounding succeeds");
+                let grounded = engine.ground_model_streamed().expect("grounding succeeds");
                 std::hint::black_box(grounded.graph.node_count())
             });
         });

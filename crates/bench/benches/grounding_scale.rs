@@ -8,18 +8,19 @@
 //!   nested-loop reference evaluator on the same multi-atom query. The
 //!   baseline is the *semantic reference*, not the previous PR's
 //!   production evaluator; the margin quantifies planner-vs-reference.
-//! * `cold` — grounding the model from scratch on every iteration through
-//!   the planner, sharing only the engine's secondary indexes.
+//! * `cold` — grounding the model from scratch on every iteration on the
+//!   production (streamed) grounder, sharing only the engine's secondary
+//!   indexes.
 //! * `cached_prepare` — the full `prepare` path, which after the first
 //!   iteration hits the `(rule, instance-fingerprint)` grounding cache and
 //!   only rebuilds the (columnar) unit table.
 //! * `answer_pipeline` — the end-to-end query path (query-cold prepare →
-//!   unit table → ATE estimate) racing three pipelines on a single worker
-//!   thread: the *streamed* pipeline (default mode: shared base grounding
-//!   plus the query's synthesised aggregate streamed into dense sinks),
-//!   the preserved PR 4 *materialised* tuple pipeline (full re-ground per
-//!   query), and the PR 3 *bindings* executor; plus the thread-scaling of
-//!   parallel grounding (1 vs 4 workers). Results are printed and written
+//!   unit table → ATE estimate) on a single worker thread, for the
+//!   *streamed* pipeline (default mode: shared base grounding plus the
+//!   query's synthesised aggregate streamed into dense sinks) next to the
+//!   reference grounder's pipeline (`GroundingMode::Tuples`: full
+//!   re-ground per query); plus the thread-scaling of the streamed cold
+//!   ground (1 vs 4 workers). Results are printed and written
 //!   machine-readably to `BENCH_pipeline.json` (override the path with
 //!   `BENCH_PIPELINE_OUT`, the per-leg iteration count with
 //!   `BENCH_PIPELINE_ITERS`) so later PRs have a perf trajectory. CI's
@@ -85,7 +86,6 @@ fn time_best<R>(iters: usize, mut f: impl FnMut() -> R) -> f64 {
 /// One scale's measurements from the answer-pipeline race.
 struct PipelineRow {
     papers: usize,
-    bindings_s: f64,
     tuples_s: f64,
     streamed_s: f64,
     ground_threads1_s: f64,
@@ -139,7 +139,11 @@ fn skewed_pipeline(papers: usize, iters: usize) -> SkewedRow {
 
     rayon::set_num_threads(1);
     let ground_threads1_s = time_best(iters, || {
-        engine.ground_model().expect("grounds").graph.node_count()
+        engine
+            .ground_model_streamed()
+            .expect("grounds")
+            .graph
+            .node_count()
     });
 
     rayon::set_num_threads(4);
@@ -147,7 +151,7 @@ fn skewed_pipeline(papers: usize, iters: usize) -> SkewedRow {
     carl::reset_grounded_attr_constructions();
     let mut graph_nodes = 0usize;
     let ground_threads4_s = time_best(iters, || {
-        let grounded = engine.ground_model().expect("grounds");
+        let grounded = engine.ground_model_streamed().expect("grounds");
         graph_nodes = grounded.graph.node_count();
         graph_nodes
     });
@@ -185,27 +189,20 @@ fn skewed_pipeline(papers: usize, iters: usize) -> SkewedRow {
     }
 }
 
-/// Race the full query pipeline (query-cold prepare → unit table → ATE) on
-/// the streamed pipeline vs the preserved materialised tuple and bindings
-/// pipelines, single-threaded, and measure parallel-grounding thread
-/// scaling. Returns the measurements.
+/// Time the full query pipeline (query-cold prepare → unit table → ATE) on
+/// the streamed pipeline and on the reference grounder's pipeline,
+/// single-threaded, and measure the streamed cold ground's thread scaling.
+/// Returns the measurements.
 fn answer_pipeline_race(papers: usize, iters: usize) -> PipelineRow {
     let streamed_engine = engine_at(papers);
     let mut tuples_engine = streamed_engine.clone();
     tuples_engine.set_grounding_mode(GroundingMode::Tuples);
-    let mut bindings_engine = streamed_engine.clone();
-    bindings_engine.set_grounding_mode(GroundingMode::Bindings);
     let query = carl::carl_lang::parse_query(QUERY).expect("query parses");
 
     // Single-core legs: pin the worker count so the tuple executor's data
     // parallelism cannot flatter the comparison. (Runtime override — the
     // env var is read once per process.)
     rayon::set_num_threads(1);
-    let bindings_s = time_best(iters, || {
-        let prepared = bindings_engine.prepare_cold(&query).expect("prepares");
-        let _ = bindings_engine.answer_prepared(&prepared);
-        prepared.unit_table.len()
-    });
     let tuples_s = time_best(iters, || {
         let prepared = tuples_engine.prepare_cold(&query).expect("prepares");
         let _ = tuples_engine.answer_prepared(&prepared);
@@ -214,25 +211,25 @@ fn answer_pipeline_race(papers: usize, iters: usize) -> PipelineRow {
     // The streamed leg re-runs every query-specific stage per iteration
     // (synthesised-aggregate streaming, peers, covariates, unit table,
     // estimate); the query-independent base grounding is engine state,
-    // shared exactly like the secondary indexes both other legs reuse.
+    // shared exactly like the secondary indexes the reference leg reuses.
     let streamed_s = time_best(iters, || {
         let prepared = streamed_engine.prepare_cold(&query).expect("prepares");
         let _ = streamed_engine.answer_prepared(&prepared);
         prepared.unit_table.len()
     });
 
-    // Thread scaling of parallel grounding (materialised tuple path, cold).
+    // Thread scaling of the streamed cold ground.
     let ground_threads1_s = time_best(iters, || {
-        tuples_engine
-            .ground_model()
+        streamed_engine
+            .ground_model_streamed()
             .expect("grounds")
             .graph
             .node_count()
     });
     rayon::set_num_threads(4);
     let ground_threads4_s = time_best(iters, || {
-        tuples_engine
-            .ground_model()
+        streamed_engine
+            .ground_model_streamed()
             .expect("grounds")
             .graph
             .node_count()
@@ -240,12 +237,9 @@ fn answer_pipeline_race(papers: usize, iters: usize) -> PipelineRow {
     rayon::set_num_threads(0);
 
     println!(
-        "answer_pipeline/{papers}: bindings {:.4}s, tuples {:.4}s ({:.1}x), \
-         streamed {:.4}s ({:.2}x over tuples); \
+        "answer_pipeline/{papers}: tuples {:.4}s, streamed {:.4}s ({:.2}x over tuples); \
          ground 1 thread {:.4}s, 4 threads {:.4}s ({:.2}x)",
-        bindings_s,
         tuples_s,
-        bindings_s / tuples_s,
         streamed_s,
         tuples_s / streamed_s,
         ground_threads1_s,
@@ -254,7 +248,6 @@ fn answer_pipeline_race(papers: usize, iters: usize) -> PipelineRow {
     );
     PipelineRow {
         papers,
-        bindings_s,
         tuples_s,
         streamed_s,
         ground_threads1_s,
@@ -277,14 +270,12 @@ fn write_pipeline_json(rows: &[PipelineRow], skewed: &SkewedRow) {
     body.push_str("  \"scales\": [\n");
     for (i, row) in rows.iter().enumerate() {
         body.push_str(&format!(
-            "    {{\"papers\": {}, \"bindings_pipeline_s\": {:.6}, \"tuples_pipeline_s\": {:.6}, \
-             \"pipeline_speedup\": {:.2}, \"streamed_pipeline_s\": {:.6}, \
-             \"streamed_speedup_over_tuples\": {:.2}, \"ground_threads1_s\": {:.6}, \
-             \"ground_threads4_s\": {:.6}, \"thread_scaling\": {:.2}}}{}\n",
+            "    {{\"papers\": {}, \"tuples_pipeline_s\": {:.6}, \
+             \"streamed_pipeline_s\": {:.6}, \"streamed_speedup_over_tuples\": {:.2}, \
+             \"ground_threads1_s\": {:.6}, \"ground_threads4_s\": {:.6}, \
+             \"thread_scaling\": {:.2}}}{}\n",
             row.papers,
-            row.bindings_s,
             row.tuples_s,
-            row.bindings_s / row.tuples_s,
             row.streamed_s,
             row.tuples_s / row.streamed_s,
             row.ground_threads1_s,
@@ -353,7 +344,7 @@ fn bench_grounding_scale(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("cold", papers), &papers, |b, _| {
             b.iter(|| {
-                let grounded = engine.ground_model().expect("grounding succeeds");
+                let grounded = engine.ground_model_streamed().expect("grounding succeeds");
                 std::hint::black_box(grounded.graph.node_count())
             });
         });
@@ -374,7 +365,7 @@ fn bench_grounding_scale(c: &mut Criterion) {
     }
     group.finish();
 
-    // The end-to-end race (tuple vs bindings pipeline, thread scaling),
+    // The end-to-end pipelines (streamed vs reference, thread scaling),
     // with machine-readable results for the perf trajectory.
     let iters: usize = std::env::var("BENCH_PIPELINE_ITERS")
         .ok()

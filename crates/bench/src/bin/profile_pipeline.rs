@@ -1,9 +1,9 @@
 //! Stage-by-stage wall-clock profile of the answer pipeline.
 //!
 //! Prints where a cold `prepare` + estimate actually spends its time at a
-//! given scale (`PROFILE_PAPERS`, default 8000), for both grounding modes,
-//! plus a raw tuple-vs-bindings executor comparison on the query's
-//! condition shape. A scratch tool for perf work:
+//! given scale (`PROFILE_PAPERS`, default 8000), on the production
+//! (streamed) grounder and on the reference grounder. A scratch tool for
+//! perf work:
 //! `cargo run --release --bin profile_pipeline`. Set
 //! `CARL_PROFILE_GROUND=1` to additionally print the grounding-phase
 //! split from inside the engine. For the prepare stages after grounding
@@ -14,10 +14,6 @@
 
 use carl::{CarlEngine, GroundingMode};
 use carl_datagen::{generate_synthetic_review, SyntheticReviewConfig};
-use reldb::{
-    evaluate_bindings_filtered, evaluate_tuples_filtered, Atom, ConjunctiveQuery, EqFilter,
-    IndexCache, Term, Value,
-};
 use std::time::Instant;
 
 const QUERY: &str = "Score[P] <= Prestige[A]? WHERE SubmittedTo(P, V), DoubleBlind[V] = false";
@@ -50,15 +46,13 @@ fn main() {
     };
     let ds = generate_synthetic_review(&config);
     let engine = CarlEngine::new(ds.instance, &ds.rules).expect("engine");
-    let mut tuples = engine.clone();
-    tuples.set_grounding_mode(GroundingMode::Tuples);
-    let mut bindings = engine.clone();
-    bindings.set_grounding_mode(GroundingMode::Bindings);
+    let mut reference = engine.clone();
+    reference.set_grounding_mode(GroundingMode::Tuples);
     let query = carl::carl_lang::parse_query(QUERY).expect("query");
 
     println!("papers = {papers}");
-    time("ground (tuples)", || {
-        tuples.ground_model().expect("grounds").graph.node_count()
+    time("ground (reference)", || {
+        engine.ground_model().expect("grounds").graph.node_count()
     });
     time("ground (streamed)", || {
         engine
@@ -87,21 +81,11 @@ fn main() {
          {constructions} for {nodes} nodes"
     );
     drop(streamed);
-    time("ground (bindings)", || {
-        bindings.ground_model().expect("grounds").graph.node_count()
-    });
     let prepared = time("prepare_cold (streamed)", || {
         engine.prepare_cold(&query).expect("prepares")
     });
-    time("prepare_cold (tuples)", || {
-        tuples
-            .prepare_cold(&query)
-            .expect("prepares")
-            .unit_table
-            .len()
-    });
-    time("prepare_cold (bindings)", || {
-        bindings
+    time("prepare_cold (reference)", || {
+        reference
             .prepare_cold(&query)
             .expect("prepares")
             .unit_table
@@ -111,54 +95,25 @@ fn main() {
         let _ = engine.answer_prepared(&prepared);
     });
 
-    // Raw executor comparison on the score-rule condition shape.
-    let q = ConjunctiveQuery::new(vec![
-        Atom::new("Writes", vec![Term::var("A"), Term::var("P")]),
-        Atom::new("SubmittedTo", vec![Term::var("P"), Term::var("V")]),
-        Atom::new("Person", vec![Term::var("A")]),
-    ]);
-    let filters = vec![EqFilter {
-        attr: "DoubleBlind".into(),
-        args: vec![Term::var("V")],
-        value: Value::Bool(false),
-    }];
-    let inst = engine.instance();
-    let cache = IndexCache::for_instance(inst);
-    let n = time("eval_tuples_filtered", || {
-        evaluate_tuples_filtered(&cache, inst.schema(), inst, &q, &filters)
-            .unwrap()
-            .len()
-    });
-    println!("    rows: {n}");
-    time("eval_tuples_filtered_chunked (no-op sink)", || {
-        let mut rows = 0usize;
-        reldb::evaluate_tuples_filtered_chunked(
-            &cache,
-            inst.schema(),
-            inst,
-            &q,
-            &filters,
-            &mut |batch| {
-                rows += batch.len();
-                Ok(())
-            },
-        )
-        .unwrap();
-        rows
-    });
-    time("eval_bindings_filtered", || {
-        evaluate_bindings_filtered(&cache, inst.schema(), inst, &q, &filters)
-            .unwrap()
-            .len()
-    });
-
     // Scheduler-stats smoke: a 4-worker cold ground must populate the
     // morsel scheduler's counters whenever any batch crossed the parallel
     // row threshold (the CI smoke run asserts this holds at its scale).
+    // The streamed grounder parallelises inside join steps only, so the
+    // smoke grounds a collaboration-heavy corpus of the same size: its
+    // co-author join is the step that crosses the threshold.
+    let dense = generate_synthetic_review(&SyntheticReviewConfig {
+        mean_collaborators: 20.0,
+        ..config
+    });
+    let dense = CarlEngine::new(dense.instance, &dense.rules).expect("engine");
     rayon::set_num_threads(4);
     rayon::reset_scheduler_stats();
-    time("ground (tuples, 4 threads)", || {
-        tuples.ground_model().expect("grounds").graph.node_count()
+    time("ground (streamed, dense collaboration, 4 threads)", || {
+        dense
+            .ground_model_streamed()
+            .expect("grounds")
+            .graph
+            .node_count()
     });
     let stats = rayon::scheduler_stats();
     rayon::set_num_threads(0);

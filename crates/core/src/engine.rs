@@ -29,9 +29,9 @@ use crate::error::{CarlError, CarlResult};
 use crate::estimate::{CateSeries, EstimatorKind, QueryAnswer};
 use crate::graph::CausalGraph;
 use crate::ground::{
-    ground, ground_aggregate_extension, ground_streaming, ground_with, ground_with_bindings,
-    partition_comparisons, patch_streamed, AggregateExtension, GroundedModel, GroundedValues,
-    PatchSafety, RowComparisons, StreamedModel,
+    ground, ground_aggregate_extension, ground_streaming, ground_with, partition_comparisons,
+    patch_streamed, AggregateExtension, GroundedModel, GroundedValues, PatchSafety, RowComparisons,
+    StreamedModel,
 };
 use crate::model::RelationalCausalModel;
 use crate::paths::unify;
@@ -54,35 +54,30 @@ use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
-/// Which grounding pipeline query answering runs on.
+/// Which grounder query answering runs on.
 ///
 /// [`GroundingMode::Streaming`] is the production path: each condition's
 /// register-tuple chunks stream off the dense executor straight into the
 /// merge, and derived aggregate values land in dense signature-indexed
 /// column sinks that the unit table reads directly
-/// ([`crate::ground::ground_streaming`]). [`GroundingMode::Tuples`] is the
-/// preserved PR 4 path — the same dense executor, but with every condition
-/// materialised and a sorted-map [`GroundedModel`] — kept as the baseline
-/// the `answer_pipeline` benchmark races the streamed pipeline against and
-/// as a differential reference. [`GroundingMode::Bindings`] routes through
-/// the still older PR 3 executor (sequential rules, one
-/// `HashMap<String, Value>` per answer). The two baseline modes bypass the
-/// grounding-result cache, so benchmarks compare cold, equal terms.
+/// ([`crate::ground::ground_streaming`]). [`GroundingMode::Tuples`] answers
+/// through the reference grounder ([`crate::ground::ground_with`]): a
+/// sequential loop over each condition's `Vec<Bindings>` answers, with no
+/// analysis pruning, producing a sorted-map [`GroundedModel`]. It bypasses
+/// the grounding-result cache and re-grounds the whole effective model per
+/// query, so it serves as an independent check of production answers.
 ///
-/// [`CarlEngine::ground_model`] always returns the materialised
-/// [`GroundedModel`] (that is its API contract); the mode governs the
-/// query-answering pipeline.
+/// The mode governs the query-answering pipeline only:
+/// [`CarlEngine::ground_model`] always returns the reference grounding and
+/// [`CarlEngine::ground_model_streamed`] the production one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum GroundingMode {
     /// Fused streaming pipeline: executor chunks → merge → dense derived
     /// sinks (default).
     #[default]
     Streaming,
-    /// Dense tuple executor with a materialised grounded model (the
-    /// preserved PR 4 path; benchmark baseline).
+    /// The reference grounder, with a materialised grounded model.
     Tuples,
-    /// Preserved hashmap-of-values executor (PR 3 benchmark baseline).
-    Bindings,
 }
 
 /// How `prepare` obtains its grounded model.
@@ -140,8 +135,8 @@ pub struct RowPreparedQuery {
 /// covariates and the unit-table builder consume either transparently.
 #[derive(Debug, Clone)]
 enum GroundedHandle {
-    /// Materialised [`GroundedModel`] (`Tuples` / `Bindings` modes, and
-    /// every `Fresh` grounding).
+    /// Materialised [`GroundedModel`] (`Tuples` mode, and every `Fresh`
+    /// grounding).
     Model(Arc<GroundedModel>),
     /// Streamed [`StreamedModel`] (`Streaming` mode).
     Streamed(Arc<StreamedModel>),
@@ -416,9 +411,9 @@ impl CarlEngine {
         })
     }
 
-    /// Replace the grounding executor (see [`GroundingMode`]). The
-    /// `Bindings` mode exists for benchmarking and differential testing;
-    /// production engines keep the default `Tuples` mode.
+    /// Replace the grounder (see [`GroundingMode`]). The `Tuples` mode
+    /// exists for differential checking; production engines keep the
+    /// default `Streaming` mode.
     pub fn set_grounding_mode(&mut self, mode: GroundingMode) -> &mut Self {
         self.grounding_mode = mode;
         self
@@ -472,24 +467,15 @@ impl CarlEngine {
         &self.model.program().queries
     }
 
-    /// Ground the model (without any query-specific synthesis) into the
-    /// materialised [`GroundedModel`] form. Useful for inspecting the
-    /// grounded causal graph and for benchmarks. Bypasses the
-    /// grounding-result cache but shares the engine's secondary indexes.
-    /// In [`GroundingMode::Bindings`] this routes through the preserved
-    /// bindings executor; the `Streaming` and `Tuples` modes both
-    /// materialise through the dense tuple executor (a materialised model
-    /// is this method's contract — the streamed form exists for query
-    /// answering, see [`CarlEngine::ground_model_streamed`]).
+    /// Ground the model (without any query-specific synthesis) on the
+    /// reference grounder ([`crate::ground::ground_with`]), in every
+    /// [`GroundingMode`], into the materialised [`GroundedModel`] form.
+    /// Useful for inspecting the grounded causal graph and for tests.
+    /// Bypasses the grounding-result cache but shares the engine's
+    /// secondary indexes. The production form is
+    /// [`CarlEngine::ground_model_streamed`].
     pub fn ground_model(&self) -> CarlResult<GroundedModel> {
-        match self.grounding_mode {
-            GroundingMode::Bindings => {
-                ground_with_bindings(&self.model, &self.instance, &self.eval_cache)
-            }
-            GroundingMode::Streaming | GroundingMode::Tuples => {
-                ground_with(&self.model, &self.instance, &self.eval_cache)
-            }
-        }
+        ground_with(&self.model, &self.instance, &self.eval_cache)
     }
 
     /// Ground the model (without any query-specific synthesis) on the
@@ -599,28 +585,6 @@ impl CarlEngine {
         self.answer(&query)
     }
 
-    /// Ground `model` on one of the baseline modes, bypassing the
-    /// grounding-result cache but sharing the secondary indexes. Streaming
-    /// mode never cold-grounds a whole model per query — `grounded_for`
-    /// routes it through `base_streamed` / `extension_for` instead.
-    fn ground_cold_handle(&self, model: &RelationalCausalModel) -> CarlResult<GroundedHandle> {
-        Ok(match self.grounding_mode {
-            GroundingMode::Streaming => {
-                unreachable!("streaming mode grounds via base_streamed/extension_for")
-            }
-            GroundingMode::Tuples => GroundedHandle::Model(Arc::new(ground_with(
-                model,
-                &self.instance,
-                &self.eval_cache,
-            )?)),
-            GroundingMode::Bindings => GroundedHandle::Model(Arc::new(ground_with_bindings(
-                model,
-                &self.instance,
-                &self.eval_cache,
-            )?)),
-        })
-    }
-
     /// Lock the grounding cache, recovering the guard if a previous holder
     /// panicked: the cache only ever stores fully constructed shared
     /// `Arc`s (insertion happens after grounding completes, outside any
@@ -698,9 +662,9 @@ impl CarlEngine {
     /// repeated queries over the same instance skip re-grounding entirely.
     /// `Fresh` grounds from scratch — the row-wise differential path uses
     /// it so that a cache bug cannot mask itself by affecting both engines.
-    /// In the baseline modes (`Tuples`, `Bindings`) the result cache is
-    /// always bypassed (those modes exist to measure grounding, not to
-    /// serve it fast). In the streaming mode a synthesised rule never
+    /// In `Tuples` mode the result cache is always bypassed (the reference
+    /// exists to check answers, not to serve them fast). In the streaming
+    /// mode a synthesised rule never
     /// re-grounds the whole model: the query runs as an
     /// [`AggregateExtension`] over the shared base grounding.
     fn grounded_for(
@@ -714,8 +678,10 @@ impl CarlEngine {
                 ground(model, &self.instance)?,
             ))));
         }
-        if self.grounding_mode != GroundingMode::Streaming {
-            return Ok(QueryGrounding::Full(self.ground_cold_handle(model)?));
+        if self.grounding_mode == GroundingMode::Tuples {
+            return Ok(QueryGrounding::Full(GroundedHandle::Model(Arc::new(
+                ground_with(model, &self.instance, &self.eval_cache)?,
+            ))));
         }
         let base = self.base_streamed()?;
         match synthesized {
@@ -805,8 +771,8 @@ impl CarlEngine {
     /// indexes in every mode, and in [`GroundingMode::Streaming`] also the
     /// shared base-model grounding (the streaming architecture never
     /// re-grounds the base per query — that is the point of the
-    /// [`AggregateExtension`] design). In the baseline modes (`Tuples`,
-    /// `Bindings`) the whole effective model re-grounds on every call.
+    /// [`AggregateExtension`] design). In `Tuples` mode the whole effective
+    /// model re-grounds on every call.
     /// This is the steady-state per-query pipeline cost benchmarks
     /// measure — see the `answer_pipeline` scenario of the
     /// `grounding_scale` bench.

@@ -84,9 +84,8 @@ pub use graph::{
     GroundedNodeId,
 };
 pub use ground::{
-    analysis_pruning, ground, ground_aggregate_extension, ground_streaming, ground_with,
-    ground_with_bindings, set_analysis_pruning, AggregateExtension, GroundedModel, GroundedValues,
-    PatchBlock, PatchSafety, StreamedModel,
+    ground, ground_aggregate_extension, ground_streaming, ground_with, AggregateExtension,
+    GroundedModel, GroundedValues, PatchBlock, PatchSafety, StreamedModel,
 };
 pub use history::{check_history, digest_answer, HistoryEvent, HistoryLog, Violation};
 pub use model::RelationalCausalModel;

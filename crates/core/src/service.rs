@@ -24,6 +24,10 @@
 //! rejected with a protocol error before any mutation is applied, so no
 //! epoch ever holds a non-finite cell.
 //!
+//! A request line longer than [`MAX_REQUEST_LINE_BYTES`] is answered with
+//! a protocol error and the connection closes, so no client can grow server
+//! memory without bound by withholding the newline.
+//!
 //! Every `QUERY` response carries the epoch it was answered on and the
 //! bit-exact [`crate::history::digest_answer`] digest, so a client can
 //! record a history and validate the service with
@@ -32,11 +36,15 @@
 use crate::history::digest_answer;
 use crate::snapshot::SnapshotEngine;
 use reldb::{Mutation, Value};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread;
+
+/// The longest request line the TCP server reads, in bytes, not counting
+/// the newline.
+pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
 
 /// Escape a string for inclusion in a JSON string literal.
 fn json_escape(s: &str) -> String {
@@ -228,19 +236,40 @@ pub fn handle_request(service: &SnapshotEngine, line: &str) -> String {
     }
 }
 
-/// Serve one accepted connection until `QUIT`, `SHUTDOWN`, EOF or an I/O
-/// error. On `SHUTDOWN`, sets the flag and pokes the listener with a
-/// throw-away connection so its blocking `accept` wakes up.
+/// Serve one accepted connection until `QUIT`, `SHUTDOWN`, EOF, an
+/// oversized request line or an I/O error. On `SHUTDOWN`, sets the flag and
+/// pokes the listener with a throw-away connection so its blocking `accept`
+/// wakes up.
 fn handle_connection(
     service: &SnapshotEngine,
     stream: TcpStream,
     shutdown: &AtomicBool,
 ) -> std::io::Result<()> {
     let server_addr = stream.local_addr()?;
-    let reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
-        let line = line?;
+    let mut line = Vec::new();
+    loop {
+        // Read at most one byte past the limit: enough to tell an
+        // oversized line from one that ends exactly at it.
+        line.clear();
+        let limit = MAX_REQUEST_LINE_BYTES as u64 + 1;
+        if (&mut reader).take(limit).read_until(b'\n', &mut line)? == 0 {
+            break; // EOF
+        }
+        if line.last() == Some(&b'\n') {
+            line.pop();
+        } else if line.len() > MAX_REQUEST_LINE_BYTES {
+            let error = error_response(&format!(
+                "request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"
+            ));
+            writer.write_all(error.as_bytes())?;
+            writer.write_all(b"\n")?;
+            writer.flush()?;
+            break;
+        }
+        let line = std::str::from_utf8(&line)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
@@ -550,6 +579,58 @@ mod tests {
         let mut reader = BufReader::new(stream);
         writer.write_all(b"SHUTDOWN\n").unwrap();
         assert!(read_line(&mut reader).contains("\"shutdown\":true"));
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn oversized_request_lines_are_rejected_and_other_clients_still_served() {
+        use std::io::{BufRead, BufReader, Write};
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let service = Arc::new(service());
+        let server = thread::spawn(move || serve(listener, service, 2).unwrap());
+
+        // A client streams 4 MiB without a newline. The writes fail once
+        // the server closes the connection, so they run on their own
+        // thread and their errors are expected.
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut flood = stream.try_clone().unwrap();
+        let flooder = thread::spawn(move || {
+            let chunk = vec![b'x'; 64 * 1024];
+            for _ in 0..64 {
+                if flood.write_all(&chunk).is_err() {
+                    break;
+                }
+            }
+        });
+        let mut reader = BufReader::new(stream);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert!(reply.starts_with("{\"ok\":false,\"error\":"), "{reply}");
+        assert!(
+            reply.contains(&format!("exceeds {MAX_REQUEST_LINE_BYTES} bytes")),
+            "{reply}"
+        );
+        // The server closed the connection after the error.
+        let mut rest = String::new();
+        assert!(
+            matches!(reader.read_line(&mut rest), Ok(0) | Err(_)),
+            "{rest}"
+        );
+        flooder.join().unwrap();
+
+        // Another client is still answered, and can stop the server.
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        writer.write_all(b"PING\nSHUTDOWN\n").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line.trim(), "{\"ok\":true}");
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("\"shutdown\":true"), "{line}");
         server.join().unwrap();
     }
 }

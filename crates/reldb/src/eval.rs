@@ -30,15 +30,15 @@
 //! chunks without ever materialising the full answer set — the
 //! pipelined-execution entry point the grounding layer folds rows through.
 //!
-//! Two reference executors are kept alongside:
+//! The materialising entry points ([`evaluate_tuples`] and friends) run
+//! the same streamed executor and collect its chunks, so there is one
+//! executor, not two.
 //!
-//! * [`evaluate_naive`] — the deliberately unoptimised nested-loop
-//!   evaluator (atoms in source order, full scans only). It defines the
-//!   semantics; every other executor must agree with it on every query,
-//!   which the differential fuzzer in `tests/eval_reference.rs` enforces.
-//! * [`evaluate_bindings_in`] / [`evaluate_bindings_filtered`] — the
-//!   previous hashmap-of-`Value`s plan executor, preserved verbatim so the
-//!   `answer_pipeline` benchmark can race the dense pipeline against it.
+//! [`evaluate_naive`] is kept alongside as the reference: the deliberately
+//! unoptimised nested-loop evaluator (atoms in source order, full scans
+//! only). It defines the semantics; the planned executor must agree with it
+//! on every query, which the differential fuzzer in
+//! `tests/eval_reference.rs` enforces.
 
 use crate::error::{RelError, RelResult};
 use crate::index::IndexCache;
@@ -338,7 +338,10 @@ pub fn evaluate_tuples_chunked<'a>(
 ) -> RelResult<()> {
     let plan = plan_shaped(cache, schema, skeleton, query)?;
     debug_assert_plan(schema, &plan);
-    execute_tuples_stream(&plan, schema, skeleton, None, cache, on_batch)
+    let interner = skeleton.interner();
+    execute_tuples_stream(&plan, schema, skeleton, None, cache, &mut |rows| {
+        on_batch(&answers(&plan, interner, rows))
+    })
 }
 
 /// Streaming filtered evaluation over a full instance (the sink-based form
@@ -354,13 +357,14 @@ pub fn evaluate_tuples_filtered_chunked<'a>(
 ) -> RelResult<()> {
     let plan = plan_shaped_filtered(cache, schema, instance, query, filters)?;
     debug_assert_plan(schema, &plan);
+    let skeleton = instance.skeleton();
     execute_tuples_stream(
         &plan,
         schema,
-        instance.skeleton(),
+        skeleton,
         Some(instance),
         cache,
-        on_batch,
+        &mut |rows| on_batch(&answers(&plan, skeleton.interner(), rows)),
     )
 }
 
@@ -727,9 +731,21 @@ fn resolve_step<'s>(
     Some((consts, source))
 }
 
+/// Wrap one batch of a plan's output rows as [`TupleAnswers`].
+fn answers<'a>(plan: &Plan, interner: &'a SymbolTable, rows: Rows) -> TupleAnswers<'a> {
+    TupleAnswers {
+        vars: plan.slots.clone(),
+        width: rows.width,
+        count: rows.count,
+        data: rows.data,
+        interner,
+    }
+}
+
 /// Run a plan against a skeleton (and, when filters are present, the
 /// instance carrying the attribute assignments they consult), producing
-/// dense register tuples.
+/// dense register tuples: the chunks of [`execute_tuples_stream`]
+/// collected into one answer set. A single chunk is moved, not copied.
 pub(crate) fn execute_tuples<'a>(
     plan: &Plan,
     schema: &RelationalSchema,
@@ -737,56 +753,34 @@ pub(crate) fn execute_tuples<'a>(
     instance: Option<&Instance>,
     cache: &IndexCache,
 ) -> TupleAnswers<'a> {
-    let width = plan.slots.len();
-    let interner = skeleton.interner();
-    let done = |rows: Rows| TupleAnswers {
-        vars: plan.slots.clone(),
-        width,
-        count: rows.count,
-        data: rows.data,
-        interner,
-    };
-    if plan.unsatisfiable() {
-        return done(Rows::empty(width));
-    }
-
-    let filters: Vec<FilterEval> = plan
-        .filters
-        .iter()
-        .map(|f| FilterEval::build(f, plan, skeleton, instance, cache))
-        .collect();
-
-    let mut rows = Rows::seed(width);
-    apply_tuple_filters(plan, 0, &filters, &mut rows);
-
-    for (i, step) in plan.steps.iter().enumerate() {
-        if rows.count == 0 {
-            break;
+    let mut all: Option<Rows> = None;
+    execute_tuples_stream(plan, schema, skeleton, instance, cache, &mut |rows| {
+        match &mut all {
+            None => all = Some(rows),
+            Some(all) => {
+                all.data.extend_from_slice(&rows.data);
+                all.count += rows.count;
+            }
         }
-        let Some((consts, source)) = resolve_step(plan, step, schema, skeleton, instance, cache)
-        else {
-            rows = Rows::empty(width);
-            break;
-        };
-        rows = run_step(skeleton, step, &source, &consts, rows);
-        apply_tuple_filters(plan, i + 1, &filters, &mut rows);
-    }
-    done(rows)
+        Ok(())
+    })
+    .expect("a collecting sink never fails");
+    let rows = all.unwrap_or_else(|| Rows::empty(plan.slots.len()));
+    answers(plan, skeleton.interner(), rows)
 }
 
-/// Streaming form of [`execute_tuples`]: identical up to the final step,
-/// whose output is delivered to `on_batch` chunk by chunk (in row order)
-/// instead of being concatenated into one answer set.
-fn execute_tuples_stream<'a>(
+/// Run a plan, delivering the final join step's output to `on_rows` chunk
+/// by chunk (in row order, empty chunks skipped) instead of concatenating
+/// it into one answer set.
+fn execute_tuples_stream(
     plan: &Plan,
     schema: &RelationalSchema,
-    skeleton: &'a Skeleton,
+    skeleton: &Skeleton,
     instance: Option<&Instance>,
     cache: &IndexCache,
-    on_batch: &mut dyn FnMut(&TupleAnswers<'a>) -> RelResult<()>,
+    on_rows: &mut dyn FnMut(Rows) -> RelResult<()>,
 ) -> RelResult<()> {
     let width = plan.slots.len();
-    let interner = skeleton.interner();
     if plan.unsatisfiable() {
         return Ok(());
     }
@@ -801,25 +795,17 @@ fn execute_tuples_stream<'a>(
     apply_tuple_filters(plan, 0, &filters, &mut rows);
 
     // Deliver one chunk of (already filtered) output rows, skipping empties.
-    let deliver = |rows: Rows,
-                   on_batch: &mut dyn FnMut(&TupleAnswers<'a>) -> RelResult<()>|
-     -> RelResult<()> {
+    let deliver = |rows: Rows, on_rows: &mut dyn FnMut(Rows) -> RelResult<()>| -> RelResult<()> {
         if rows.count == 0 {
             return Ok(());
         }
-        on_batch(&TupleAnswers {
-            vars: plan.slots.clone(),
-            width,
-            count: rows.count,
-            data: rows.data,
-            interner,
-        })
+        on_rows(rows)
     };
 
     let Some(last) = plan.steps.len().checked_sub(1) else {
         // The empty query: the (possibly filtered-away) seed row is the
         // whole answer.
-        return deliver(rows, on_batch);
+        return deliver(rows, on_rows);
     };
 
     for (i, step) in plan.steps[..last].iter().enumerate() {
@@ -859,7 +845,7 @@ fn execute_tuples_stream<'a>(
             for (data, count) in parts {
                 let mut out = Rows { width, count, data };
                 apply_tuple_filters(plan, last + 1, &filters, &mut out);
-                deliver(out, on_batch)?;
+                deliver(out, on_rows)?;
             }
         }
     } else {
@@ -869,7 +855,7 @@ fn execute_tuples_stream<'a>(
             let (data, count) = run_step_range(skeleton, step, &source, &consts, &rows, range);
             let mut out = Rows { width, count, data };
             apply_tuple_filters(plan, last + 1, &filters, &mut out);
-            deliver(out, on_batch)?;
+            deliver(out, on_rows)?;
         }
     }
     Ok(())
@@ -1055,220 +1041,6 @@ fn semijoins_admit(
     })
 }
 
-// ---------------------------------------------------------------------------
-// The PR 3 bindings executor, preserved for benchmarking and differential
-// testing.
-// ---------------------------------------------------------------------------
-
-/// Evaluate `query` with the preserved hashmap-of-`Value`s executor (one
-/// `Bindings` map cloned and extended per candidate match). Semantically
-/// identical to [`evaluate_in`]; kept so the `answer_pipeline` benchmark
-/// can race the dense tuple pipeline against its predecessor.
-pub fn evaluate_bindings_in(
-    cache: &IndexCache,
-    schema: &RelationalSchema,
-    skeleton: &Skeleton,
-    query: &ConjunctiveQuery,
-) -> RelResult<Vec<Bindings>> {
-    let plan = plan_query(schema, skeleton, query)?;
-    debug_assert_plan(schema, &plan);
-    Ok(execute_bindings(&plan, schema, skeleton, None, cache))
-}
-
-/// Filtered evaluation on the preserved bindings executor (see
-/// [`evaluate_bindings_in`]).
-pub fn evaluate_bindings_filtered(
-    cache: &IndexCache,
-    schema: &RelationalSchema,
-    instance: &Instance,
-    query: &ConjunctiveQuery,
-    filters: &[EqFilter],
-) -> RelResult<Vec<Bindings>> {
-    let plan = plan_query_filtered(schema, instance, cache, query, filters)?;
-    debug_assert_plan(schema, &plan);
-    Ok(execute_bindings(
-        &plan,
-        schema,
-        instance.skeleton(),
-        Some(instance),
-        cache,
-    ))
-}
-
-/// Run a plan with per-answer `Bindings` maps (the pre-dense executor).
-fn execute_bindings(
-    plan: &Plan,
-    schema: &RelationalSchema,
-    skeleton: &Skeleton,
-    instance: Option<&Instance>,
-    cache: &IndexCache,
-) -> Vec<Bindings> {
-    if plan.unsatisfiable() {
-        return Vec::new();
-    }
-    let mut partials: Vec<Bindings> = vec![Bindings::new()];
-    apply_bindings_filters(plan, 0, instance, &mut partials);
-
-    for (i, step) in plan.steps.iter().enumerate() {
-        if partials.is_empty() {
-            break;
-        }
-        let atom = &step.atom;
-        let mut next: Vec<Bindings> = Vec::new();
-        match &step.access {
-            Access::ScanEntity => {
-                let keys: Vec<&Value> = skeleton
-                    .entity_keys(&atom.predicate)
-                    .iter()
-                    .filter(|key| value_semijoins_admit(skeleton, &step.semijoins, |_| *key))
-                    .collect();
-                for binding in &partials {
-                    for key in &keys {
-                        if let Some(ext) = unify(binding, &atom.terms, std::slice::from_ref(*key)) {
-                            next.push(ext);
-                        }
-                    }
-                }
-            }
-            Access::ProbeEntity => {
-                for binding in &partials {
-                    let key = resolve(&atom.terms[0], binding)
-                        .expect("planner chose a probe because the term is bound");
-                    if skeleton.has_entity(&atom.predicate, &key) {
-                        next.push(binding.clone());
-                    }
-                }
-            }
-            Access::ScanRelationship => {
-                let tuples: Vec<&Vec<Value>> = skeleton
-                    .relationship_tuples(&atom.predicate)
-                    .iter()
-                    .filter(|t| t.len() == atom.terms.len())
-                    .filter(|t| value_semijoins_admit(skeleton, &step.semijoins, |p| &t[p]))
-                    .collect();
-                for binding in &partials {
-                    for tuple in &tuples {
-                        if let Some(ext) = unify(binding, &atom.terms, tuple) {
-                            next.push(ext);
-                        }
-                    }
-                }
-            }
-            Access::ProbeRelationship { positions } => {
-                if let [position] = positions.as_slice() {
-                    for binding in &partials {
-                        let key = resolve(&atom.terms[*position], binding)
-                            .expect("planner chose the position because it is bound");
-                        for tuple in
-                            skeleton.relationship_tuples_with(&atom.predicate, *position, &key)
-                        {
-                            if let Some(ext) = unify(binding, &atom.terms, tuple) {
-                                next.push(ext);
-                            }
-                        }
-                    }
-                } else {
-                    let index = cache.relationship_index(skeleton, &atom.predicate, positions);
-                    let table = skeleton.relationship_tuples(&atom.predicate);
-                    let interner = skeleton.interner();
-                    for binding in &partials {
-                        let key: Option<Vec<Sym>> = positions
-                            .iter()
-                            .map(|&p| {
-                                let v = resolve(&atom.terms[p], binding)
-                                    .expect("planner chose the position because it is bound");
-                                interner.get(&v)
-                            })
-                            .collect();
-                        let Some(key) = key else { continue };
-                        for &row in index.rows(&key) {
-                            if let Some(ext) = unify(binding, &atom.terms, &table[row as usize]) {
-                                next.push(ext);
-                            }
-                        }
-                    }
-                }
-            }
-            Access::ProbeAttribute { filter } => {
-                let inst = instance
-                    .expect("planner only emits attribute fetches when an instance is available");
-                let flt = &plan.filters[*filter];
-                let index = cache.attribute_index(inst, &flt.attr);
-                let units: Vec<&Vec<Value>> = index
-                    .units(&flt.value)
-                    .iter()
-                    .filter(|unit| match schema.predicate_kind(&atom.predicate) {
-                        Some(PredicateKind::Entity) => {
-                            unit.len() == 1 && skeleton.has_entity(&atom.predicate, &unit[0])
-                        }
-                        Some(PredicateKind::Relationship) => {
-                            skeleton.has_relationship(&atom.predicate, unit)
-                        }
-                        None => false,
-                    })
-                    .collect();
-                for binding in &partials {
-                    for unit in &units {
-                        if let Some(ext) = unify(binding, &atom.terms, unit) {
-                            next.push(ext);
-                        }
-                    }
-                }
-            }
-        }
-        partials = next;
-        apply_bindings_filters(plan, i + 1, instance, &mut partials);
-    }
-    partials
-}
-
-/// Retain only bindings satisfying every filter pinned to step `after`.
-fn apply_bindings_filters(
-    plan: &Plan,
-    after: usize,
-    instance: Option<&Instance>,
-    partials: &mut Vec<Bindings>,
-) {
-    for (flt, ready) in plan.filters.iter().zip(&plan.filter_after) {
-        if *ready != Some(after) {
-            continue;
-        }
-        let Some(instance) = instance else {
-            partials.clear();
-            return;
-        };
-        partials.retain(|binding| filter_holds(flt, binding, instance));
-    }
-}
-
-/// Whether a binding satisfies an equality filter (missing assignments
-/// never satisfy).
-fn filter_holds(filter: &EqFilter, binding: &Bindings, instance: &Instance) -> bool {
-    let key: Option<Vec<Value>> = filter.args.iter().map(|t| resolve(t, binding)).collect();
-    match key {
-        Some(key) => instance.attribute(&filter.attr, &key) == Some(&filter.value),
-        None => false,
-    }
-}
-
-/// Whether a candidate passes every semi-join pass; `value_at` maps a
-/// pruned position to the candidate's value there.
-fn value_semijoins_admit<'a>(
-    skeleton: &Skeleton,
-    semijoins: &[SemiJoin],
-    value_at: impl Fn(usize) -> &'a Value,
-) -> bool {
-    semijoins.iter().all(|sj| {
-        let value = value_at(sj.position);
-        match sj.source_kind {
-            PredicateKind::Entity => skeleton.has_entity(&sj.source_predicate, value),
-            PredicateKind::Relationship => {
-                skeleton.contains_at(&sj.source_predicate, sj.source_position, value)
-            }
-        }
-    })
-}
-
 /// Unify an atom's terms with a concrete tuple under `binding`, returning
 /// the extended binding on success. Handles constants, already-bound
 /// variables and repeated variables within the atom.
@@ -1294,14 +1066,6 @@ fn unify(binding: &Bindings, terms: &[Term], tuple: &[Value]) -> Option<Bindings
         }
     }
     Some(extended)
-}
-
-/// Resolve a term to a value given the current binding, if possible.
-fn resolve(term: &Term, binding: &Bindings) -> Option<Value> {
-    match term {
-        Term::Const(v) => Some(v.clone()),
-        Term::Var(name) => binding.get(name).cloned(),
-    }
 }
 
 #[cfg(test)]
@@ -1593,7 +1357,6 @@ mod tests {
     #[test]
     fn planned_matches_naive_on_the_paper_example() {
         let (schema, sk) = setup();
-        let cache = IndexCache::for_skeleton(&sk);
         for q in [
             ConjunctiveQuery::truth(),
             ConjunctiveQuery::new(vec![Atom::new("Person", vec![Term::var("A")])]),
@@ -1610,10 +1373,6 @@ mod tests {
             let fast = evaluate(&schema, &sk, &q).unwrap();
             let slow = evaluate_naive(&schema, &sk, &q).unwrap();
             assert_eq!(canonical(fast), canonical(slow), "query {q}");
-            // The preserved bindings executor stays honest too.
-            let legacy = evaluate_bindings_in(&cache, &schema, &sk, &q).unwrap();
-            let slow = evaluate_naive(&schema, &sk, &q).unwrap();
-            assert_eq!(canonical(legacy), canonical(slow), "query {q}");
         }
     }
 
@@ -1657,17 +1416,6 @@ mod tests {
         // s2 and s3 are at the double-blind ConfAI: three authorships.
         assert_eq!(filtered.len(), 3);
         assert_eq!(canonical(filtered), canonical(post));
-        // The preserved bindings executor agrees.
-        let legacy =
-            evaluate_bindings_filtered(&cache, inst.schema(), &inst, &q, &filters).unwrap();
-        let post: Vec<Bindings> = evaluate(inst.schema(), inst.skeleton(), &q)
-            .unwrap()
-            .into_iter()
-            .filter(|b| {
-                inst.attribute("Blind", std::slice::from_ref(&b["C"])) == Some(&Value::Bool(true))
-            })
-            .collect();
-        assert_eq!(canonical(legacy), canonical(post));
     }
 
     #[test]

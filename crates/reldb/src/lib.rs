@@ -71,9 +71,9 @@ pub mod value;
 pub use aggregate::{group_by, AggFn};
 pub use error::{RelError, RelResult};
 pub use eval::{
-    evaluate, evaluate_bindings_filtered, evaluate_bindings_in, evaluate_filtered, evaluate_in,
-    evaluate_naive, evaluate_project, evaluate_tuples, evaluate_tuples_chunked,
-    evaluate_tuples_filtered, evaluate_tuples_filtered_chunked, Bindings, TupleAnswers,
+    evaluate, evaluate_filtered, evaluate_in, evaluate_naive, evaluate_project, evaluate_tuples,
+    evaluate_tuples_chunked, evaluate_tuples_filtered, evaluate_tuples_filtered_chunked, Bindings,
+    TupleAnswers,
 };
 pub use index::{IndexCache, IndexCacheStats, PlanCacheStats};
 pub use instance::{DeltaOp, DeltaSet, Instance, Mutation};

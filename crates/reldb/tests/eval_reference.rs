@@ -16,23 +16,19 @@
 //! and a third reuses one `IndexCache` across many queries to catch cache
 //! corruption.
 //!
-//! Every case exercises *three* optimised executors against the reference:
-//! the dense tuple executor through its `Vec<Bindings>` boundary
-//! (`evaluate` / `evaluate_filtered`), the same executor through its raw
-//! [`reldb::TupleAnswers`] interface (`evaluate_tuples*`, converted
-//! explicitly), and the preserved PR 3 bindings executor
-//! (`evaluate_bindings_*`), which must stay honest because the
-//! `answer_pipeline` benchmark uses it as the baseline.
+//! Every case exercises the planned executor against the reference through
+//! both of its interfaces: the `Vec<Bindings>` boundary (`evaluate` /
+//! `evaluate_filtered`) and the raw [`reldb::TupleAnswers`] interface
+//! (`evaluate_tuples*`, converted explicitly).
 //!
 //! Case counts are deliberately modest for local runs; CI's release-test
 //! job raises them via the `PROPTEST_CASES` environment variable.
 
 use proptest::prelude::*;
 use reldb::{
-    evaluate, evaluate_bindings_filtered, evaluate_bindings_in, evaluate_filtered, evaluate_in,
-    evaluate_naive, evaluate_tuples, evaluate_tuples_filtered, plan_query, plan_query_filtered,
-    Atom, Bindings, ConjunctiveQuery, DomainType, EqFilter, IndexCache, Instance, RelationalSchema,
-    Skeleton, Term, Value,
+    evaluate, evaluate_filtered, evaluate_in, evaluate_naive, evaluate_tuples,
+    evaluate_tuples_filtered, plan_query, plan_query_filtered, Atom, Bindings, ConjunctiveQuery,
+    DomainType, EqFilter, IndexCache, Instance, RelationalSchema, Skeleton, Term, Value,
 };
 
 /// Run the static plan verifier *unconditionally* (not just as a debug
@@ -192,13 +188,10 @@ proptest! {
             writes.len(),
             reviews.len()
         );
-        // The raw tuple interface (converted at the boundary) and the
-        // preserved bindings executor agree too.
+        // The raw tuple interface (converted at the boundary) agrees too.
         let cache = IndexCache::for_skeleton(&skeleton);
         let tuples = evaluate_tuples(&cache, &schema, &skeleton, &query).unwrap();
-        prop_assert_eq!(canonical(tuples.to_bindings()), slow.clone(), "tuples {}", query);
-        let legacy = evaluate_bindings_in(&cache, &schema, &skeleton, &query).unwrap();
-        prop_assert_eq!(canonical(legacy), slow, "bindings {}", query);
+        prop_assert_eq!(canonical(tuples.to_bindings()), slow, "tuples {}", query);
     }
 
     /// Single-atom queries with constants agree too (exercises the indexed
@@ -224,9 +217,7 @@ proptest! {
         prop_assert_eq!(canonical(fast), slow.clone());
         let cache = IndexCache::for_skeleton(&skeleton);
         let tuples = evaluate_tuples(&cache, &schema, &skeleton, &query).unwrap();
-        prop_assert_eq!(canonical(tuples.to_bindings()), slow.clone());
-        let legacy = evaluate_bindings_in(&cache, &schema, &skeleton, &query).unwrap();
-        prop_assert_eq!(canonical(legacy), slow);
+        prop_assert_eq!(canonical(tuples.to_bindings()), slow);
     }
 
     /// One `IndexCache` reused across a whole batch of queries over the
@@ -247,11 +238,9 @@ proptest! {
             let shared = evaluate_in(&cache, &schema, &skeleton, &query).unwrap();
             let fresh = canonical(evaluate(&schema, &skeleton, &query).unwrap());
             prop_assert_eq!(canonical(shared), fresh.clone(), "query {}", query);
-            // Tuple and bindings executors through the same shared cache.
+            // The raw tuple interface through the same shared cache.
             let tuples = evaluate_tuples(&cache, &schema, &skeleton, &query).unwrap();
-            prop_assert_eq!(canonical(tuples.to_bindings()), fresh.clone(), "tuples {}", query);
-            let legacy = evaluate_bindings_in(&cache, &schema, &skeleton, &query).unwrap();
-            prop_assert_eq!(canonical(legacy), fresh, "bindings {}", query);
+            prop_assert_eq!(canonical(tuples.to_bindings()), fresh, "tuples {}", query);
         }
     }
 
@@ -320,11 +309,7 @@ proptest! {
         let tuples =
             evaluate_tuples_filtered(&cache, instance.schema(), &instance, &query, &filters)
                 .unwrap();
-        prop_assert_eq!(canonical(tuples.to_bindings()), reference.clone(), "tuples {}", query);
-        let legacy =
-            evaluate_bindings_filtered(&cache, instance.schema(), &instance, &query, &filters)
-                .unwrap();
-        prop_assert_eq!(canonical(legacy), reference, "bindings {}", query);
+        prop_assert_eq!(canonical(tuples.to_bindings()), reference, "tuples {}", query);
     }
 
     /// Cyclic join shapes — triangles and longer `Reviews` chains that
@@ -369,9 +354,7 @@ proptest! {
         prop_assert_eq!(canonical(fast), slow.clone(), "query {}", query);
         let cache = IndexCache::for_skeleton(&skeleton);
         let tuples = evaluate_tuples(&cache, &schema, &skeleton, &query).unwrap();
-        prop_assert_eq!(canonical(tuples.to_bindings()), slow.clone(), "tuples {}", query);
-        let legacy = evaluate_bindings_in(&cache, &schema, &skeleton, &query).unwrap();
-        prop_assert_eq!(canonical(legacy), slow, "bindings {}", query);
+        prop_assert_eq!(canonical(tuples.to_bindings()), slow, "tuples {}", query);
     }
 
     /// Both evaluators reject exactly the same malformed queries.

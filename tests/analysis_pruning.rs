@@ -1,9 +1,11 @@
-//! Differential harness for the whole-program analysis consumers: with
-//! abstract-interpretation pruning ON (the default) versus OFF, every causal
-//! answer must be **bit-identical** ([`carl::digest_answer`]) across the five
-//! evaluation datasets, across dead-rule-augmented programs (including
-//! deadness only provable under schema domain hints), across fuzzed
-//! programs, and across worker-thread counts {1, 4}.
+//! Differential harness for the whole-program analysis consumers: the
+//! production grounder skips statements the abstract interpretation proved
+//! dead, the reference grounder (`GroundingMode::Tuples`) never prunes, and
+//! every causal answer of the two must be **bit-identical**
+//! ([`carl::digest_answer`]) across the five evaluation datasets, across
+//! dead-rule-augmented programs (including deadness only provable under
+//! schema domain hints), across fuzzed programs, and across worker-thread
+//! counts {1, 4}.
 //!
 //! It also pins the patch-safety upgrade: a program whose *dead* rule reads
 //! an attribute in a condition comparison used to force every commit
@@ -13,10 +15,10 @@
 //! patches — bit-identical to a cold engine and clean under
 //! [`carl::check_history`].
 //!
-//! The pruning toggle and the rayon worker count are process-global, so
-//! every test serialises on [`PRUNING_LOCK`].
+//! The rayon worker count is process-global, so the tests that vary it
+//! serialise on [`THREADS_LOCK`].
 
-use carl::{digest_answer, set_analysis_pruning, CarlEngine, HistoryLog, SnapshotEngine};
+use carl::{digest_answer, CarlEngine, GroundingMode, HistoryLog, SnapshotEngine};
 use carl_datagen::{
     generate_mimic, generate_nis, generate_reviewdata, generate_synthetic_review, MimicConfig,
     NisConfig, ReviewConfig, SyntheticReviewConfig,
@@ -25,19 +27,17 @@ use proptest::prelude::*;
 use reldb::{Instance, Mutation, Value};
 use std::sync::Mutex;
 
-/// Serialises tests that flip the process-global pruning toggle or the
-/// rayon worker count.
-static PRUNING_LOCK: Mutex<()> = Mutex::new(());
+/// Serialises tests that flip the process-global rayon worker count.
+static THREADS_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
-    PRUNING_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Restores pruning ON and the default worker count even if a test panics.
+/// Restores the default worker count even if a test panics.
 struct Restore;
 impl Drop for Restore {
     fn drop(&mut self) {
-        set_analysis_pruning(true);
         rayon::set_num_threads(0);
     }
 }
@@ -58,29 +58,35 @@ const REVIEW_QUERIES: &[&str] = &[
     "Score[S] <= Prestige[A]? WHERE Submitted(S, C), Blind[C] = true",
 ];
 
-/// Build an engine under the given pruning setting and digest every query.
-/// Errors digest too ([`digest_answer`] folds the error text), so a query
-/// that fails must fail identically on both sides.
-fn digests(pruning: bool, instance: &Instance, rules: &str, queries: &[String]) -> Vec<String> {
-    set_analysis_pruning(pruning);
-    assert_eq!(carl::analysis_pruning(), pruning);
-    let engine = CarlEngine::new(instance.clone(), rules).expect("model binds");
+/// Build an engine on the given grounder and digest every query. Errors
+/// digest too ([`digest_answer`] folds the error text), so a query that
+/// fails must fail identically on both sides.
+fn digests(
+    mode: GroundingMode,
+    instance: &Instance,
+    rules: &str,
+    queries: &[String],
+) -> Vec<String> {
+    let mut engine = CarlEngine::new(instance.clone(), rules).expect("model binds");
+    engine.set_grounding_mode(mode);
     queries
         .iter()
         .map(|q| format!("{q} => {}", digest_answer(&engine.answer_str(q))))
         .collect()
 }
 
-/// Assert pruning ON and OFF agree bit-for-bit on every query, at worker
-/// thread counts 1 and 4.
+/// Assert the pruning production grounder and the non-pruning reference
+/// agree bit-for-bit on every query, at worker thread counts 1 and 4.
 fn assert_pruning_inert(instance: &Instance, rules: &str, queries: &[String]) {
     for threads in [1usize, 4] {
         rayon::set_num_threads(threads);
-        let on = digests(true, instance, rules, queries);
-        let off = digests(false, instance, rules, queries);
-        assert_eq!(on, off, "pruning changed answers at {threads} thread(s)");
+        let pruned = digests(GroundingMode::Streaming, instance, rules, queries);
+        let reference = digests(GroundingMode::Tuples, instance, rules, queries);
+        assert_eq!(
+            pruned, reference,
+            "pruning changed answers at {threads} thread(s)"
+        );
     }
-    set_analysis_pruning(true);
     rayon::set_num_threads(0);
 }
 
@@ -108,8 +114,8 @@ fn pruning_is_inert_on_the_five_datasets() {
 /// Dead-rule-augmented programs: rules whose conditions are provably
 /// unsatisfiable — by interval conflict, by equality conflict, and by
 /// deadness only the schema's `Bool` domain hint can prove — ground to
-/// nothing, so skipping them (pruning ON) is bit-identical to grounding
-/// them against every row (pruning OFF).
+/// nothing, so skipping them (production) is bit-identical to grounding
+/// them against every row (reference).
 #[test]
 fn pruning_is_inert_on_dead_rule_programs() {
     let _guard = lock();
@@ -149,10 +155,6 @@ fn pruning_is_inert_on_dead_rule_programs() {
 /// to a cold rebuild and clean under the history oracle.
 #[test]
 fn dead_comparison_reads_no_longer_force_cold_rebuilds() {
-    let _guard = lock();
-    let _restore = Restore;
-    set_analysis_pruning(true);
-
     let ds = generate_synthetic_review(&SyntheticReviewConfig::small(29));
     // Live chain reading Score through an aggregate, plus a dead rule whose
     // condition comparisons read Score. Under the legacy screen the dead
@@ -227,10 +229,6 @@ fn dead_comparison_reads_no_longer_force_cold_rebuilds() {
 /// attribute-only batches.
 #[test]
 fn previously_fast_pathed_commits_still_fast_path_without_rescans() {
-    let _guard = lock();
-    let _restore = Restore;
-    set_analysis_pruning(true);
-
     let ds = generate_synthetic_review(&SyntheticReviewConfig::small(31));
     let rules = r#"
         Prestige[A] <= Qualification[A]              WHERE Person(A)
@@ -273,8 +271,9 @@ fn extra_rule(lo: f64, hi: f64, on_blind: bool) -> String {
 
 proptest! {
     /// Fuzzed programs over the review schema (random comparison chains,
-    /// some provably dead, some live): the analysis never panics and
-    /// pruning never changes a single answer bit. Case count scales with
+    /// some provably dead, some live): the analysis never panics and the
+    /// pruning production grounder never differs from the reference by a
+    /// single answer bit. Case count scales with
     /// `PROPTEST_CASES`.
     #[test]
     fn pruning_is_inert_on_fuzzed_programs(

@@ -2,7 +2,8 @@
 //!
 //! For each dataset the base grounding is built twice — once by the
 //! streamed production grounder (`ground_model_streamed`) and once by the
-//! materialised grounder (`ground_model`) — and each graph is reduced to
+//! sequential reference grounder (`ground_model`) — and each graph is
+//! reduced to
 //! one 64-bit digest. The digest covers, node by node in id order:
 //!
 //! * the node's `Display` rendering (so node *order* is pinned, not just

@@ -85,3 +85,23 @@ fn helpful_errors_for_bad_programs() {
     assert!(engine.answer_str("Score[S] <= ").is_err());
     assert!(engine.answer_str("Score[S] <= Prestige[A]").is_err()); // missing `?`
 }
+
+/// A causal rule whose head is also an aggregate head is rejected (E0003)
+/// before any model is built. The parser classifies every AGG-prefixed head
+/// as an aggregate rule, so the clash is built in the AST, as an embedding
+/// client could.
+#[test]
+fn a_rule_head_clashing_with_an_aggregate_head_is_rejected() {
+    let mut program = parse_program(
+        "Prestige[A] <= Qualification[A] WHERE Person(A)\n\
+         AVG_Score[A] <= Score[S] WHERE Author(A, S)",
+    )
+    .expect("parses");
+    program.rules[0].head.attr = "AVG_Score".into();
+    let err = CarlEngine::with_program(reldb::Instance::review_example(), program).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("`AVG_Score` is defined both by an aggregate rule and a causal rule"),
+        "{err}"
+    );
+}

@@ -1,11 +1,12 @@
 //! Determinism of parallel grounding.
 //!
-//! Grounding evaluates every rule condition concurrently and (inside the
-//! tuple executor) splits large row batches across worker threads; the
-//! merge into the grounded model is sequential in rule order with
-//! order-preserving chunk concatenation. The result must therefore be
-//! **bit-identical** under any `RAYON_NUM_THREADS` — node insertion order,
-//! edge lists, and every derived f64, bit for bit. This test pins that
+//! The production grounder (`ground_model_streamed`) splits large row
+//! batches across worker threads inside the tuple executor and folds the
+//! order-preserving chunks into the grounded model in rule order. The
+//! result must therefore be **bit-identical** under any
+//! `RAYON_NUM_THREADS` and morsel size — node insertion order, edge lists,
+//! and every observed-or-derived f64, bit for bit — and equal to the
+//! sequential reference grounder's (`ground_model`). This test pins that
 //! contract at a scale large enough to actually cross the executor's
 //! parallel row threshold.
 //!
@@ -17,9 +18,9 @@
 //! this binary that flip knobs or read [`rayon::scheduler_stats`] hold the
 //! [`KNOBS`] lock so they serialise against each other.
 
-use carl::{digest_answer, ground_with_bindings, CarlEngine, GroundedModel};
+use carl::{digest_answer, CarlEngine, GroundedValues};
 use carl_datagen::{generate_synthetic_review, SyntheticReviewConfig};
-use reldb::{IndexCache, UnitKey};
+use reldb::{Instance, UnitKey};
 use std::sync::{Mutex, MutexGuard};
 
 /// Serialises knob-mutating tests; the scheduler knobs and statistics are
@@ -33,25 +34,29 @@ fn hold_knobs() -> MutexGuard<'static, ()> {
 }
 
 /// A canonical, construction-order-sensitive rendering of a grounded model:
-/// nodes in id order, edges as (parent, child) pairs in adjacency order,
-/// derived values in sorted order with exact bit patterns.
-#[allow(clippy::type_complexity)]
-fn canonical(g: &GroundedModel) -> (Vec<String>, Vec<(String, String)>, Vec<(String, u64)>) {
-    let nodes: Vec<String> = (0..g.graph.node_count())
-        .map(|id| g.graph.node(id).to_string())
-        .collect();
-    let mut edges = Vec::new();
-    for child in 0..g.graph.node_count() {
-        for &parent in g.graph.parents_of(child) {
-            edges.push((nodes[parent].clone(), nodes[child].clone()));
-        }
-    }
-    let derived: Vec<(String, u64)> = g
-        .derived
+/// nodes in id order, each with its parent and child lists in adjacency
+/// order and the exact bits of its observed-or-derived value.
+type Canonical = Vec<(String, Vec<usize>, Vec<usize>, Option<u64>)>;
+
+fn canonical(g: &impl GroundedValues, instance: &Instance) -> Canonical {
+    let graph = g.graph();
+    graph
         .iter()
-        .map(|(k, v)| (k.to_string(), v.to_bits()))
-        .collect();
-    (nodes, edges, derived)
+        .map(|(id, node)| {
+            (
+                node.to_string(),
+                graph.parents_of(id).to_vec(),
+                graph.children_of(id).to_vec(),
+                g.value_of(instance, node).map(f64::to_bits),
+            )
+        })
+        .collect()
+}
+
+/// The canonical form of `engine`'s reference grounding.
+fn reference(engine: &CarlEngine) -> Canonical {
+    let grounded = engine.ground_model().expect("reference grounding");
+    canonical(&grounded, engine.instance())
 }
 
 #[test]
@@ -69,30 +74,24 @@ fn grounding_is_bit_identical_across_thread_counts() {
 
     let ground_at = |threads: usize| {
         rayon::set_num_threads(threads);
-        let grounded = engine.ground_model().expect("grounding succeeds");
+        let grounded = engine.ground_model_streamed().expect("grounding succeeds");
         rayon::set_num_threads(0);
-        grounded
+        assert!(grounded.graph.node_count() > 0 && grounded.graph.edge_count() > 0);
+        canonical(&grounded, engine.instance())
     };
 
     let one = ground_at(1);
     let four = ground_at(4);
-    assert!(one.graph.node_count() > 0 && one.graph.edge_count() > 0);
-    assert_eq!(
-        canonical(&one),
-        canonical(&four),
+    assert!(
+        one == four,
         "grounding must not depend on RAYON_NUM_THREADS"
     );
-
-    // And the parallel tuple grounding agrees with the preserved
-    // (sequential) bindings executor on graph content and derived values.
-    let cache = IndexCache::for_instance(engine.instance());
-    let reference =
-        ground_with_bindings(engine.model(), engine.instance(), &cache).expect("grounds");
-    assert_eq!(one.graph.node_count(), reference.graph.node_count());
-    assert_eq!(one.graph.edge_count(), reference.graph.edge_count());
-    let (_, _, fast_derived) = canonical(&one);
-    let (_, _, slow_derived) = canonical(&reference);
-    assert_eq!(fast_derived, slow_derived, "derived values bit-identical");
+    // And the parallel grounding equals the sequential reference grounder's,
+    // node order, edge lists and value bits included.
+    assert!(
+        one == reference(&engine),
+        "production grounding diverged from the reference"
+    );
 }
 
 /// The full thread × morsel matrix: grounding, prepared unit-table bits,
@@ -122,7 +121,7 @@ fn grounding_matrix_is_bit_identical_across_threads_and_morsels() {
     let cell = |threads: usize,
                 morsel: usize|
      -> (
-        (Vec<String>, Vec<(String, String)>, Vec<(String, u64)>),
+        Canonical,
         Vec<UnitKey>,
         Vec<(String, Vec<u64>)>,
         carl::peers::PeerMap,
@@ -131,7 +130,7 @@ fn grounding_matrix_is_bit_identical_across_threads_and_morsels() {
         rayon::set_num_threads(threads);
         rayon::set_morsel_size(morsel);
         let engine = CarlEngine::new(ds.instance.clone(), &ds.rules).expect("model binds");
-        let grounded = engine.ground_model().expect("grounds");
+        let grounded = engine.ground_model_streamed().expect("grounds");
         let prepared = engine.prepare_str(query).expect("prepares");
         let digest = digest_answer(&engine.answer_str(query));
         rayon::set_num_threads(0);
@@ -147,13 +146,16 @@ fn grounding_matrix_is_bit_identical_across_threads_and_morsels() {
             })
             .collect();
         let peers = prepared.peers;
-        (canonical(&grounded), ut.units.clone(), bits, peers, digest)
+        let grounded = canonical(&grounded, engine.instance());
+        (grounded, ut.units.clone(), bits, peers, digest)
     };
 
     let baseline = cell(1, rayon::DEFAULT_MORSEL_SIZE);
+    assert!(!baseline.0.is_empty(), "baseline grounding is non-trivial");
+    let engine = CarlEngine::new(ds.instance.clone(), &ds.rules).expect("model binds");
     assert!(
-        !baseline.0 .0.is_empty(),
-        "baseline grounding is non-trivial"
+        baseline.0 == reference(&engine),
+        "production grounding diverged from the reference"
     );
     for threads in [1usize, 2, 4, 8] {
         for morsel in [1usize, 7, 1024, usize::MAX / 4] {
@@ -192,10 +194,14 @@ fn skewed_workload_is_balanced_and_bit_identical() {
 
     let baseline = {
         rayon::set_num_threads(1);
-        let grounded = engine.ground_model().expect("grounds");
+        let grounded = engine.ground_model_streamed().expect("grounds");
         rayon::set_num_threads(0);
-        canonical(&grounded)
+        canonical(&grounded, engine.instance())
     };
+    assert!(
+        baseline == reference(&engine),
+        "production grounding diverged from the reference"
+    );
 
     // Small morsels force many stealable units out of the one dominant
     // rule, so a chunk-per-worker scheduler would show up here as one
@@ -203,14 +209,13 @@ fn skewed_workload_is_balanced_and_bit_identical() {
     rayon::set_num_threads(4);
     rayon::set_morsel_size(1);
     rayon::reset_scheduler_stats();
-    let skewed = engine.ground_model().expect("grounds");
+    let skewed = engine.ground_model_streamed().expect("grounds");
     let stats = rayon::scheduler_stats();
     rayon::set_num_threads(0);
     rayon::set_morsel_size(0);
 
-    assert_eq!(
-        canonical(&skewed),
-        baseline,
+    assert!(
+        canonical(&skewed, engine.instance()) == baseline,
         "skewed grounding must not depend on threads or morsel size"
     );
     assert!(

@@ -1,20 +1,22 @@
 //! Differential test harness: the streamed grounding→unit-table pipeline
-//! versus the preserved PR 4 materialised pipeline.
+//! versus the pipeline over the reference grounder.
 //!
 //! The streaming engine (default, [`carl::GroundingMode::Streaming`])
 //! pipes each condition's register-tuple chunks straight off the query
 //! executor into the grounding merge, streams query-synthesised aggregates
 //! as extensions over a shared base grounding, and reads derived values
 //! out of dense signature-indexed column sinks. The materialised engine
-//! ([`carl::GroundingMode::Tuples`]) is the PR 4 path kept verbatim: every
-//! condition materialised, a sorted-map `GroundedModel`, full re-grounding
-//! per cold query. This harness proves the two produce **bit-identical**
-//! results — same unit tables column by column, same peer maps, same
-//! ATE / AIE / ARE / AOE, same error dispositions — on every dataset the
-//! columnar-vs-rowwise suite covers, and that the streamed results do not
-//! depend on the worker-thread count. Peer maps are also checked against
-//! the key-addressed reference of [`carl::rowwise`], which shares no code
-//! with the dense peer walks both pipelines run.
+//! ([`carl::GroundingMode::Tuples`]) answers through the reference
+//! grounder: a sequential loop over each condition's `Vec<Bindings>`
+//! answers, no analysis pruning, a sorted-map `GroundedModel`, full
+//! re-grounding per cold query. This harness proves the two produce
+//! **bit-identical** results — same unit tables column by column, same
+//! peer maps, same ATE / AIE / ARE / AOE, same error dispositions — on
+//! every dataset the columnar-vs-rowwise suite covers, and that the
+//! streamed results do not depend on the worker-thread count. Peer maps
+//! are also checked against the key-addressed reference of
+//! [`carl::rowwise`], which shares no code with the dense peer walks both
+//! pipelines run.
 
 use carl::{CarlEngine, EstimatorKind, GroundingMode, QueryAnswer};
 use carl_datagen::{
@@ -35,7 +37,7 @@ fn assert_bits(label: &str, a: f64, b: f64) {
     );
 }
 
-/// A streamed (default) and a materialised (PR 4) engine over one dataset.
+/// A streamed (default) and a reference-grounder engine over one dataset.
 fn engine_pair(instance: &Instance, rules: &str) -> (CarlEngine, CarlEngine) {
     let streamed = CarlEngine::new(instance.clone(), rules).expect("model binds");
     let mut materialised = streamed.clone();
