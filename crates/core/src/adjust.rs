@@ -14,7 +14,8 @@
 //! The verifier in [`crate::dsep`] can be used to confirm that the selected
 //! set satisfies the conditional independence of Equation (29).
 
-use crate::ground::GroundedValues;
+use crate::graph::NodeId;
+use crate::ground::{GroundedValues, UnitRows};
 use crate::model::RelationalCausalModel;
 use crate::peers::{same_units, PeerMap};
 use reldb::{Instance, UnitKey};
@@ -125,37 +126,63 @@ pub fn covariates<G: GroundedValues>(
     units: &[UnitKey],
     peers: &PeerMap,
 ) -> AdjustmentPlan {
+    let syms = UnitRows::resolve(units, instance.skeleton().interner());
+    let rows = UnitRows::with_syms(units, syms.as_deref(), instance.skeleton().interner());
+    covariates_rows(model, grounded, instance, treatment_attr, rows, peers)
+}
+
+/// [`covariates`] over units with their row addressing: each unit's
+/// treatment node is resolved once, and every parent is read by node id.
+pub(crate) fn covariates_rows<G: GroundedValues>(
+    model: &RelationalCausalModel,
+    grounded: &G,
+    instance: &Instance,
+    treatment_attr: &str,
+    units: UnitRows<'_>,
+    peers: &PeerMap,
+) -> AdjustmentPlan {
     let graph = grounded.graph();
 
-    // Parent attributes in first-seen order, each flagged eligible or not;
-    // entries carry the first-seen slot until the names are sorted below.
+    // The eligible parents of every unit's treatment node, unit by unit in
+    // graph parent order, each with its attribute's first-seen slot
+    // (renumbered once the names are sorted below); then all their values
+    // in one read.
     let mut seen: Vec<(&str, bool)> = Vec::new();
+    let mut parents: Vec<(u32, NodeId)> = Vec::new();
+    let mut ends: Vec<usize> = Vec::with_capacity(units.len());
+    for id in grounded.unit_nodes(treatment_attr, units) {
+        for &pid in id.map_or(&[][..], |id| graph.parents_of(id)) {
+            let attr = graph.node(pid).attr.as_str();
+            let slot = match seen.iter().position(|&(name, _)| name == attr) {
+                Some(slot) => slot,
+                None => {
+                    let eligible = attr != treatment_attr && model.is_observed(attr);
+                    seen.push((attr, eligible));
+                    seen.len() - 1
+                }
+            };
+            if seen[slot].1 {
+                parents.push((to_slot(slot), pid));
+            }
+        }
+        ends.push(parents.len());
+    }
+    let nodes: Vec<NodeId> = parents.iter().map(|&(_, pid)| pid).collect();
+    let values = grounded.node_values(instance, &nodes);
     let mut offsets = Vec::with_capacity(units.len() + 1);
-    let mut entries: Vec<(u32, f64)> = Vec::new();
+    let mut entries: Vec<(u32, f64)> = Vec::with_capacity(parents.len());
     offsets.push(0);
-    for unit in units {
-        if let Some(id) = grounded.node_of(treatment_attr, unit) {
-            for &pid in graph.parents_of(id) {
-                let parent = graph.node(pid);
-                let slot = match seen.iter().position(|&(name, _)| name == parent.attr) {
-                    Some(slot) => slot,
-                    None => {
-                        let eligible =
-                            parent.attr != treatment_attr && model.is_observed(&parent.attr);
-                        seen.push((&parent.attr, eligible));
-                        seen.len() - 1
-                    }
-                };
-                if !seen[slot].1 {
-                    continue;
-                }
-                if let Some(v) = grounded.value_of(instance, parent) {
-                    entries.push((to_slot(slot), v));
-                }
+    let mut start = 0;
+    for end in ends {
+        for (&(slot, _), value) in parents[start..end].iter().zip(&values[start..end]) {
+            if let Some(v) = *value {
+                entries.push((slot, v));
             }
         }
         offsets.push(entries.len());
+        start = end;
     }
+    let units = units.unit_keys();
 
     // Own covariate attributes are those with a value in some row; peer
     // covariate attributes those with a value in the row of some peer.

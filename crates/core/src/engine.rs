@@ -23,7 +23,7 @@
 //! assert_eq!(prepared.response_attr, "AVG_Score");
 //! ```
 
-use crate::adjust::{covariates, AdjustmentPlan};
+use crate::adjust::{covariates_rows, AdjustmentPlan};
 use crate::embed::EmbeddingKind;
 use crate::error::{CarlError, CarlResult};
 use crate::estimate::{CateSeries, EstimatorKind, QueryAnswer};
@@ -31,17 +31,17 @@ use crate::graph::CausalGraph;
 use crate::ground::{
     ground, ground_aggregate_extension, ground_streaming, ground_with, partition_comparisons,
     patch_streamed, AggregateExtension, GroundedModel, GroundedValues, PatchSafety, RowComparisons,
-    StreamedModel,
+    StreamedModel, UnitRows,
 };
 use crate::model::RelationalCausalModel;
 use crate::paths::unify;
-use crate::peers::{compute_peers, compute_peers_streamed, PeerMap};
+use crate::peers::{compute_peers_rows, compute_peers_streamed_rows, PeerMap};
 use crate::query::{conditional_ate, estimate_ate, estimate_peer_effects, CateStratifier};
 use crate::rowwise::{
     build_row_unit_table, compute_peers_rowwise, covariates_rowwise, estimate_ate_rowwise,
     estimate_peer_effects_rowwise, RowPeerMap, RowUnitTable, RowUnitTableSpec,
 };
-use crate::unit_table::{build_unit_table, UnitTable, UnitTableSpec};
+use crate::unit_table::{build_unit_table_rows, UnitTable, UnitTableSpec};
 use carl_lang::{
     parse_program, parse_query, AggregateRule, ArgTerm, CausalQuery, PeerCondition, Program,
 };
@@ -131,8 +131,9 @@ pub struct RowPreparedQuery {
 
 /// A shared handle to a grounded model, in whichever representation the
 /// grounding mode produced: the materialised sorted-map form or the
-/// streamed dense-sink form. Implements [`GroundedValues`], so peers,
-/// covariates and the unit-table builder consume either transparently.
+/// streamed dense-sink form. [`GroundedHandle::values`] lends either as
+/// [`GroundedValues`], so peers, covariates and the unit-table builder
+/// consume both transparently.
 #[derive(Debug, Clone)]
 enum GroundedHandle {
     /// Materialised [`GroundedModel`] (`Tuples` mode, and every `Fresh`
@@ -150,27 +151,12 @@ impl GroundedHandle {
             GroundedHandle::Streamed(_) => None,
         }
     }
-}
 
-impl GroundedValues for GroundedHandle {
-    fn graph(&self) -> &CausalGraph {
+    /// The held grounding, whichever representation it has.
+    fn values(&self) -> &dyn GroundedValues {
         match self {
-            GroundedHandle::Model(m) => &m.graph,
-            GroundedHandle::Streamed(s) => &s.graph,
-        }
-    }
-
-    fn value_of(&self, instance: &Instance, node: &crate::graph::GroundedAttr) -> Option<f64> {
-        match self {
-            GroundedHandle::Model(m) => m.value_of(instance, node),
-            GroundedHandle::Streamed(s) => s.value_of(instance, node),
-        }
-    }
-
-    fn node_of(&self, attr: &str, key: &reldb::UnitKey) -> Option<crate::graph::NodeId> {
-        match self {
-            GroundedHandle::Model(m) => m.node_of(attr, key),
-            GroundedHandle::Streamed(s) => s.node_of(attr, key),
+            GroundedHandle::Model(m) => m.as_ref(),
+            GroundedHandle::Streamed(s) => s.as_ref(),
         }
     }
 }
@@ -203,14 +189,14 @@ impl QueryGrounding {
 impl GroundedValues for QueryGrounding {
     fn graph(&self) -> &CausalGraph {
         match self {
-            QueryGrounding::Full(handle) => handle.graph(),
+            QueryGrounding::Full(handle) => handle.values().graph(),
             QueryGrounding::Extended { base, .. } => &base.graph,
         }
     }
 
     fn value_of(&self, instance: &Instance, node: &crate::graph::GroundedAttr) -> Option<f64> {
         match self {
-            QueryGrounding::Full(handle) => handle.value_of(instance, node),
+            QueryGrounding::Full(handle) => handle.values().value_of(instance, node),
             QueryGrounding::Extended { base, ext } => ext
                 .value_of(instance, node)
                 .or_else(|| base.value_of(instance, node)),
@@ -219,11 +205,60 @@ impl GroundedValues for QueryGrounding {
 
     fn node_of(&self, attr: &str, key: &reldb::UnitKey) -> Option<crate::graph::NodeId> {
         match self {
-            QueryGrounding::Full(handle) => handle.node_of(attr, key),
+            QueryGrounding::Full(handle) => handle.values().node_of(attr, key),
             // The extension's would-be vertices are graph leaves that never
             // enter the base graph; node probes resolve against the base
             // (exactly the nodes a descendant walk can reach).
             QueryGrounding::Extended { base, .. } => base.node_of(attr, key),
+        }
+    }
+
+    fn unit_nodes(&self, attr: &str, units: UnitRows<'_>) -> Vec<Option<crate::graph::NodeId>> {
+        match self {
+            QueryGrounding::Full(handle) => handle.values().unit_nodes(attr, units),
+            QueryGrounding::Extended { base, .. } => base.unit_nodes(attr, units),
+        }
+    }
+
+    fn node_values(&self, instance: &Instance, nodes: &[crate::graph::NodeId]) -> Vec<Option<f64>> {
+        match self {
+            QueryGrounding::Full(handle) => handle.values().node_values(instance, nodes),
+            QueryGrounding::Extended { base, ext } => {
+                let mut values = base.node_values(instance, nodes);
+                // Base nodes ground the extension's attribute only when a
+                // program aggregate shares its name; those read the
+                // extension first, as `value_of` does.
+                if base.grounds_attr(&ext.attr) {
+                    for (value, &node) in values.iter_mut().zip(nodes) {
+                        let node = base.graph.node(node);
+                        if node.attr == ext.attr {
+                            *value = ext.value_of(instance, node).or(*value);
+                        }
+                    }
+                }
+                values
+            }
+        }
+    }
+
+    fn unit_values(
+        &self,
+        instance: &Instance,
+        attr: &str,
+        units: UnitRows<'_>,
+    ) -> Vec<Option<f64>> {
+        match self {
+            QueryGrounding::Full(handle) => handle.values().unit_values(instance, attr, units),
+            QueryGrounding::Extended { base, ext } => {
+                let mut values = base.unit_values(instance, attr, units);
+                if attr == ext.attr {
+                    for (value, derived) in values.iter_mut().zip(ext.unit_values(instance, units))
+                    {
+                        *value = derived.or(*value);
+                    }
+                }
+                values
+            }
         }
     }
 }
@@ -254,6 +289,8 @@ struct PreparedInputs<'a> {
     grounded: QueryGrounding,
     treatment_attr: String,
     response_attr: String,
+    /// The class whose groundings are the units: the treatment's subject.
+    unit_predicate: String,
     units: Vec<UnitKey>,
     allowed_units: Option<HashSet<UnitKey>>,
 }
@@ -743,6 +780,7 @@ impl CarlEngine {
             grounded,
             treatment_attr: query.treatment.attr.clone(),
             response_attr: plan.response_attr,
+            unit_predicate: plan.unit_predicate,
             units,
             allowed_units,
         })
@@ -788,22 +826,38 @@ impl CarlEngine {
         //    streamed aggregate extension, its (virtual, leaf) response
         //    vertices are answered from the group source lists instead of
         //    a materialised graph walk. Peers and covariates address units
-        //    by row, and the unit table reads both by row.
-        let peers = match &inputs.grounded {
-            QueryGrounding::Extended { base, ext } => {
-                compute_peers_streamed(base, ext, treatment_attr, &inputs.units, &self.instance)
+        //    by row, and the unit table reads both by row. Units of an
+        //    entity class are its skeleton rows, so every layer reads them
+        //    by key symbol.
+        let shared: Arc<[UnitKey]> = inputs.units.into();
+        let units = match self
+            .instance
+            .schema()
+            .predicate_kind(&inputs.unit_predicate)
+        {
+            Some(reldb::PredicateKind::Entity) => {
+                UnitRows::of_class(self.instance.skeleton(), &inputs.unit_predicate, &shared)
             }
-            QueryGrounding::Full(_) => compute_peers(
+            _ => UnitRows::keys(&shared),
+        };
+        let peers = match &inputs.grounded {
+            QueryGrounding::Extended { base, ext } => compute_peers_streamed_rows(
+                base,
+                ext,
+                treatment_attr,
+                units,
+                Arc::clone(&shared),
+                &self.instance,
+            ),
+            QueryGrounding::Full(_) => compute_peers_rows(
                 &inputs.grounded,
                 treatment_attr,
                 &inputs.response_attr,
-                &inputs.units,
+                units,
+                Arc::clone(&shared),
             ),
         };
-        // The peer map owns a copy of the units; reading them back through
-        // it lets the later layers match their unit lists by address.
-        let units = peers.units();
-        let adjustment = covariates(
+        let adjustment = covariates_rows(
             &inputs.model,
             &inputs.grounded,
             &self.instance,
@@ -812,19 +866,23 @@ impl CarlEngine {
             &peers,
         );
 
-        // 6. Embedding and the unit table (Algorithm 1).
+        // 6. Embedding and the unit table (Algorithm 1). The peer map holds
+        //    the shared unit list, so the later layers match it by address.
         let embedding = self.embedding_for(peers.values().map(Vec::len).max().unwrap_or(0));
-        let unit_table = build_unit_table(&UnitTableSpec {
-            grounded: &inputs.grounded,
-            instance: &self.instance,
-            treatment_attr,
-            response_attr: &inputs.response_attr,
+        let unit_table = build_unit_table_rows(
+            &UnitTableSpec {
+                grounded: &inputs.grounded,
+                instance: &self.instance,
+                treatment_attr,
+                response_attr: &inputs.response_attr,
+                units: peers.units(),
+                peers: &peers,
+                adjustment: &adjustment,
+                embedding,
+                allowed_units: inputs.allowed_units.as_ref(),
+            },
             units,
-            peers: &peers,
-            adjustment: &adjustment,
-            embedding,
-            allowed_units: inputs.allowed_units.as_ref(),
-        })?;
+        )?;
 
         Ok(PreparedQuery {
             unit_table,
@@ -1015,11 +1073,11 @@ impl CarlEngine {
             &filters,
         )
         .map_err(CarlError::Rel)?;
-        let residual = RowComparisons::compile(&residual, &answers);
+        let residual = RowComparisons::compile(&residual, &answers, &self.instance);
         let mut allowed = HashSet::new();
         if let Some(slot) = answers.slot_of(tvar) {
             for row in answers.rows() {
-                if !residual.hold(row, &answers, &self.instance) {
+                if !residual.hold(row, &answers) {
                     continue;
                 }
                 allowed.insert(vec![answers.value(row[slot]).clone()]);

@@ -81,6 +81,97 @@ impl GroundedModel {
     }
 }
 
+/// The units of analysis as the post-grounding layers address them: their
+/// keys, plus — when known — each unit's interned skeleton symbol.
+///
+/// A caller holding only keys passes [`UnitRows::keys`]; the public layer
+/// entry points that also get the instance resolve those keys to symbols
+/// once, and the engine, whose units are the rows of an entity class, takes
+/// the class's symbols from the skeleton. Groundings and attribute columns
+/// read symbol-addressed units without hashing a [`UnitKey`]. The symbols
+/// are set only inside this crate, always checked against the keys, so
+/// unit `i`'s symbol is always unit `i`'s key.
+#[derive(Debug, Clone, Copy)]
+pub struct UnitRows<'a> {
+    /// The unit keys, in unit order.
+    keys: &'a [UnitKey],
+    /// Unit `i`'s key as one interned symbol of the instance's skeleton,
+    /// present only when every unit is a single interned value.
+    syms: Option<&'a [Sym]>,
+}
+
+impl<'a> UnitRows<'a> {
+    /// Units known only by their keys.
+    pub fn keys(keys: &'a [UnitKey]) -> Self {
+        Self { keys, syms: None }
+    }
+
+    /// Units with their symbols `syms` in `interner` (see
+    /// [`UnitRows::resolve`]), which must name `keys` one for one.
+    pub(crate) fn with_syms(
+        keys: &'a [UnitKey],
+        syms: Option<&'a [Sym]>,
+        interner: &reldb::SymbolTable,
+    ) -> Self {
+        if let Some(syms) = syms {
+            assert_eq!(syms.len(), keys.len(), "one symbol per unit key");
+            debug_assert!(
+                keys.iter()
+                    .zip(syms)
+                    .all(|(key, &sym)| matches!(key.as_slice(), [v] if v == interner.value(sym))),
+                "unit symbols name their keys"
+            );
+        }
+        Self { keys, syms }
+    }
+
+    /// The units `keys` of entity class `class`, which must be the class's
+    /// rows in [`reldb::Skeleton::entity_keys`] order.
+    pub(crate) fn of_class(
+        skeleton: &'a reldb::Skeleton,
+        class: &str,
+        keys: &'a [UnitKey],
+    ) -> Self {
+        Self::with_syms(keys, Some(skeleton.entity_syms(class)), skeleton.interner())
+    }
+
+    /// Each key as one interned symbol of `interner`, when every key is a
+    /// single interned value (the form [`UnitRows::with_syms`] takes).
+    pub(crate) fn resolve(keys: &[UnitKey], interner: &reldb::SymbolTable) -> Option<Vec<Sym>> {
+        keys.iter()
+            .map(|key| match key.as_slice() {
+                [value] => interner.get(value),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The unit keys, in unit order.
+    pub fn unit_keys(&self) -> &'a [UnitKey] {
+        self.keys
+    }
+
+    /// Number of units.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The cell `reader` (a reader of `attr` over `instance`) holds for
+    /// unit `i`: by symbol when the units carry symbols, else by key.
+    pub(crate) fn cell<'i>(
+        &self,
+        instance: &'i Instance,
+        attr: &str,
+        reader: &reldb::AttrReader<'i>,
+        i: usize,
+    ) -> Option<&'i Value> {
+        match self.syms {
+            Some(syms) => reader.at_sym(syms[i]),
+            None => instance.attribute(attr, &self.keys[i]),
+        }
+    }
+}
+
 /// A grounded causal model as consumed by the downstream pipeline (peers,
 /// covariates, unit tables): a causal graph plus per-node observed-or-
 /// derived values.
@@ -90,6 +181,12 @@ impl GroundedModel {
 /// derived columns), so `compute_peers`, `covariates` and
 /// `build_unit_table` run unchanged — and produce bit-identical output —
 /// over either.
+///
+/// The layers read through the provided methods
+/// ([`GroundedValues::unit_nodes`], [`GroundedValues::node_values`],
+/// [`GroundedValues::unit_values`]), whose defaults are the key-addressed
+/// [`GroundedValues::node_of`]/[`GroundedValues::value_of`] path.
+/// [`StreamedModel`] overrides them to read by node id and unit symbol.
 pub trait GroundedValues {
     /// The grounded causal graph.
     fn graph(&self) -> &CausalGraph;
@@ -109,6 +206,45 @@ pub trait GroundedValues {
     /// off the allocator.
     fn node_of(&self, attr: &str, key: &UnitKey) -> Option<NodeId> {
         self.graph().node_id(&GroundedAttr::new(attr, key.clone()))
+    }
+
+    /// The node grounding `attr` for each unit, in unit order (`None` where
+    /// a unit has none). The default calls [`GroundedValues::node_of`] per
+    /// key.
+    fn unit_nodes(&self, attr: &str, units: UnitRows<'_>) -> Vec<Option<NodeId>> {
+        units.keys.iter().map(|u| self.node_of(attr, u)).collect()
+    }
+
+    /// The observed or derived value of each graph node in `nodes`, in
+    /// order: what [`GroundedValues::value_of`] gives the node's grounded
+    /// attribute, which is the default.
+    fn node_values(&self, instance: &Instance, nodes: &[NodeId]) -> Vec<Option<f64>> {
+        let graph = self.graph();
+        nodes
+            .iter()
+            .map(|&node| self.value_of(instance, graph.node(node)))
+            .collect()
+    }
+
+    /// The observed or derived value of `attr` for each unit, in unit
+    /// order, whether or not the graph has a node for it. The default
+    /// calls [`GroundedValues::value_of`] per key.
+    fn unit_values(
+        &self,
+        instance: &Instance,
+        attr: &str,
+        units: UnitRows<'_>,
+    ) -> Vec<Option<f64>> {
+        let mut node = GroundedAttr::new(attr, Vec::new());
+        units
+            .keys
+            .iter()
+            .map(|unit| {
+                node.key.clear();
+                node.key.extend_from_slice(unit);
+                self.value_of(instance, &node)
+            })
+            .collect()
     }
 }
 
@@ -319,14 +455,22 @@ fn guard_sig(attr: &str, sig: u32, bound: usize) -> CarlResult<usize> {
 /// through a dense per-attribute array indexed by the signature symbol —
 /// one bounds check per row, no hashing at all. Other arities fall back to
 /// a symbol-keyed hash map probed without allocating.
+///
+/// The table also records every node's own signature ([`NodeSig`], 8 bytes
+/// per node), so a node id resolves back to its attribute and key symbol
+/// without reading its [`GroundedAttr`].
 #[derive(Debug, Clone, Default)]
 struct NodeTable {
     attr_ids: HashMap<String, usize>,
+    /// Attribute names by dense id.
+    names: Vec<String>,
     /// `single[attr_id][sig]` → interned node id (dense,
     /// [`GroundedNodeId::NONE`] = absent).
     single: Vec<Vec<GroundedNodeId>>,
     /// `multi[attr_id][full signature]` → interned node id (other arities).
     multi: Vec<SymMap<Vec<u32>, GroundedNodeId>>,
+    /// Per graph node, in node order: its attribute id and signature.
+    sigs: Vec<NodeSig>,
     /// Exclusive upper bound on valid signature symbols: the skeleton's
     /// interner length plus the constant pseudo-symbols registered so far.
     /// Guards the dense arrays — a signature past this bound would mean a
@@ -338,6 +482,20 @@ struct NodeTable {
     sig_buf: Vec<u32>,
 }
 
+/// A grounded node's identity in the [`NodeTable`]: its attribute id and,
+/// for a single-argument node, its signature symbol ([`NodeSig::MULTI`]
+/// for other arities).
+#[derive(Debug, Clone, Copy)]
+struct NodeSig {
+    attr: u32,
+    sig: u32,
+}
+
+impl NodeSig {
+    /// The `sig` of a node whose key has other than one argument.
+    const MULTI: u32 = u32::MAX;
+}
+
 impl NodeTable {
     /// The dense id of an attribute name (registering it on first use).
     fn attr_id(&mut self, attr: &str) -> usize {
@@ -346,8 +504,27 @@ impl NodeTable {
         }
         let id = self.attr_ids.len();
         self.attr_ids.insert(attr.to_string(), id);
+        self.names.push(attr.to_string());
         self.single.push(Vec::new());
         self.multi.push(SymMap::default());
+        id
+    }
+
+    /// Append node `attr[key]` to the graph, recording its signature.
+    fn push_node(
+        &mut self,
+        graph: &mut CausalGraph,
+        attr: &str,
+        attr_id: usize,
+        sig: u32,
+        key: UnitKey,
+    ) -> NodeId {
+        let id = graph.push_node(GroundedAttr::new(attr, key));
+        debug_assert_eq!(id, self.sigs.len(), "the node table creates every node");
+        self.sigs.push(NodeSig {
+            attr: u32::try_from(attr_id).expect("attribute ids fit u32"),
+            sig,
+        });
         id
     }
 
@@ -399,7 +576,8 @@ impl NodeTable {
         if ids[sig] != GroundedNodeId::NONE {
             return Ok(ids[sig].index());
         }
-        let id = graph.push_node(GroundedAttr::new(attr, key()?));
+        let packed = u32::try_from(sig).expect("signature symbols fit u32");
+        let id = self.push_node(graph, attr, attr_id, packed, key()?);
         self.single[attr_id][sig] = GroundedNodeId::from_node(id);
         Ok(id)
     }
@@ -416,7 +594,7 @@ impl NodeTable {
         if let Some(&id) = self.multi[attr_id].get(sig) {
             return Ok(id.index());
         }
-        let id = graph.push_node(GroundedAttr::new(attr, key()?));
+        let id = self.push_node(graph, attr, attr_id, NodeSig::MULTI, key()?);
         self.multi[attr_id].insert(sig.to_vec(), GroundedNodeId::from_node(id));
         Ok(id)
     }
@@ -470,59 +648,97 @@ impl NodeTable {
 
 /// Residual (non-equality) comparisons compiled against an answer's slot
 /// layout, evaluated per register row.
+///
+/// Each comparison's attribute is resolved once, so a row's check reads the
+/// compared cell by the row's key symbols — no key is rebuilt and no
+/// `Value` hashed. Only a constant argument the skeleton never interned
+/// (which can address only a cell outside the skeleton) reads by key.
 pub(crate) struct RowComparisons<'c> {
-    compiled: Vec<(&'c TypedComparison, Vec<CmpArg<'c>>)>,
+    compiled: Vec<CompiledComparison<'c>>,
+    instance: &'c Instance,
+}
+
+struct CompiledComparison<'c> {
+    cmp: &'c TypedComparison,
+    args: Vec<CmpArg<'c>>,
+    reader: reldb::AttrReader<'c>,
+    /// Whether every argument has a symbol (the cell reads by symbols).
+    by_symbol: bool,
 }
 
 enum CmpArg<'c> {
-    Const(&'c Value),
+    /// A constant, with its skeleton symbol when the skeleton interned it.
+    Const(&'c Value, Option<Sym>),
     Slot(usize),
     /// Unbound comparison variables never satisfy the comparison.
     Unbound,
 }
 
 impl<'c> RowComparisons<'c> {
-    pub(crate) fn compile(comparisons: &'c [TypedComparison], answers: &TupleAnswers<'_>) -> Self {
+    pub(crate) fn compile(
+        comparisons: &'c [TypedComparison],
+        answers: &TupleAnswers<'_>,
+        instance: &'c Instance,
+    ) -> Self {
+        let interner = instance.skeleton().interner();
         let compiled = comparisons
             .iter()
             .map(|cmp| {
-                let args = cmp
+                let args: Vec<CmpArg<'c>> = cmp
                     .args
                     .iter()
                     .map(|t| match t {
-                        reldb::Term::Const(v) => CmpArg::Const(v),
+                        reldb::Term::Const(v) => CmpArg::Const(v, interner.get(v)),
                         reldb::Term::Var(v) => match answers.slot_of(v) {
                             Some(slot) => CmpArg::Slot(slot),
                             None => CmpArg::Unbound,
                         },
                     })
                     .collect();
-                (cmp, args)
+                let by_symbol = args
+                    .iter()
+                    .all(|a| matches!(a, CmpArg::Slot(_) | CmpArg::Const(_, Some(_))));
+                CompiledComparison {
+                    cmp,
+                    args,
+                    reader: instance.attribute_reader(&cmp.attr),
+                    by_symbol,
+                }
             })
             .collect();
-        Self { compiled }
+        Self { compiled, instance }
     }
 
     /// Whether every comparison holds for `row`.
-    pub(crate) fn hold(
-        &self,
-        row: &[Sym],
-        answers: &TupleAnswers<'_>,
-        instance: &Instance,
-    ) -> bool {
-        self.compiled.iter().all(|(cmp, args)| {
-            let key: Option<UnitKey> = args
-                .iter()
-                .map(|a| match a {
-                    CmpArg::Const(v) => Some((*v).clone()),
-                    CmpArg::Slot(s) => Some(answers.value(row[*s]).clone()),
-                    CmpArg::Unbound => None,
-                })
-                .collect();
-            match key {
-                Some(key) => cmp.holds(instance.attribute(&cmp.attr, &key)),
-                None => false,
+    pub(crate) fn hold(&self, row: &[Sym], answers: &TupleAnswers<'_>) -> bool {
+        let mut syms: Vec<Sym> = Vec::new();
+        self.compiled.iter().all(|c| {
+            if c.args.iter().any(|a| matches!(a, CmpArg::Unbound)) {
+                return false;
             }
+            let cell = if let (true, [CmpArg::Slot(slot)]) = (c.by_symbol, c.args.as_slice()) {
+                c.reader.at_sym(row[*slot])
+            } else if c.by_symbol {
+                syms.clear();
+                syms.extend(c.args.iter().map(|a| match a {
+                    CmpArg::Slot(s) => row[*s],
+                    CmpArg::Const(_, sym) => sym.expect("by-symbol arguments are interned"),
+                    CmpArg::Unbound => unreachable!("checked above"),
+                }));
+                c.reader.at_syms(&syms)
+            } else {
+                let key: UnitKey = c
+                    .args
+                    .iter()
+                    .map(|a| match a {
+                        CmpArg::Const(v, _) => (*v).clone(),
+                        CmpArg::Slot(s) => answers.value(row[*s]).clone(),
+                        CmpArg::Unbound => unreachable!("checked above"),
+                    })
+                    .collect();
+                self.instance.attribute(&c.cmp.attr, &key)
+            };
+            c.cmp.holds(cell)
         })
     }
 }
@@ -720,11 +936,16 @@ impl DerivedStore {
 
     /// The derived value of a grounded attribute, if any.
     fn get(&self, interner: &reldb::SymbolTable, node: &GroundedAttr) -> Option<f64> {
-        let &attr_id = self.attr_ids.get(&node.attr)?;
-        if let [key] = node.key.as_slice() {
+        self.get_key(interner, &node.attr, &node.key)
+    }
+
+    /// The derived value of `attr` for `key`, if any.
+    fn get_key(&self, interner: &reldb::SymbolTable, attr: &str, key: &[Value]) -> Option<f64> {
+        let &attr_id = self.attr_ids.get(attr)?;
+        if let [key] = key {
             return self.single[attr_id].get(self.sig_of(interner, key)? as usize);
         }
-        let sig: Option<Vec<u32>> = node.key.iter().map(|v| self.sig_of(interner, v)).collect();
+        let sig: Option<Vec<u32>> = key.iter().map(|v| self.sig_of(interner, v)).collect();
         self.multi[attr_id].get(&sig?).copied()
     }
 }
@@ -759,9 +980,33 @@ pub struct StreamedModel {
     /// valid across the attribute-only epoch patches that share this model's
     /// graph and node table.
     skeleton: std::sync::Arc<reldb::Skeleton>,
+    /// Per node-table attribute id: its derived-store id, if an aggregate
+    /// derives values for it.
+    node_derived: Vec<Option<usize>>,
 }
 
 impl StreamedModel {
+    /// Assemble a model from a finished merge.
+    fn new(
+        graph: CausalGraph,
+        derived: DerivedStore,
+        nodes: NodeTable,
+        skeleton: std::sync::Arc<reldb::Skeleton>,
+    ) -> Self {
+        let node_derived = nodes
+            .names
+            .iter()
+            .map(|name| derived.attr_ids.get(name).copied())
+            .collect();
+        Self {
+            graph: std::sync::Arc::new(graph),
+            derived,
+            nodes: std::sync::Arc::new(nodes),
+            skeleton,
+            node_derived,
+        }
+    }
+
     /// The observed or derived numeric value of a grounded attribute (the
     /// streamed equivalent of [`GroundedModel::value_of`]).
     pub fn value_of(&self, instance: &Instance, node: &GroundedAttr) -> Option<f64> {
@@ -784,7 +1029,11 @@ impl StreamedModel {
     /// of every node has a signature symbol (skeleton interner or merge
     /// pseudo-symbol). A key that fails to resolve therefore names no node.
     pub fn node_of(&self, attr: &str, key: &UnitKey) -> Option<NodeId> {
-        let attr_id = self.nodes.lookup_attr(attr)?;
+        self.node_in(self.nodes.lookup_attr(attr)?, key)
+    }
+
+    /// [`StreamedModel::node_of`] for a resolved attribute id.
+    fn node_in(&self, attr_id: usize, key: &UnitKey) -> Option<NodeId> {
         let interner = self.skeleton.interner();
         if let [single] = key.as_slice() {
             let sig = self.derived.sig_of(interner, single)? as usize;
@@ -801,6 +1050,11 @@ impl StreamedModel {
             .lookup_multi(attr_id, &sig?)
             .map(GroundedNodeId::index)
     }
+
+    /// Whether some node of this grounding has attribute `attr`.
+    pub(crate) fn grounds_attr(&self, attr: &str) -> bool {
+        self.nodes.lookup_attr(attr).is_some()
+    }
 }
 
 impl GroundedValues for StreamedModel {
@@ -814,6 +1068,103 @@ impl GroundedValues for StreamedModel {
 
     fn node_of(&self, attr: &str, key: &UnitKey) -> Option<NodeId> {
         StreamedModel::node_of(self, attr, key)
+    }
+
+    /// The nodes grounding `attr` for `units`: by key symbol through the
+    /// dense node table when the units carry symbols, by key otherwise.
+    fn unit_nodes(&self, attr: &str, units: UnitRows<'_>) -> Vec<Option<NodeId>> {
+        let Some(attr_id) = self.nodes.lookup_attr(attr) else {
+            return vec![None; units.len()];
+        };
+        match units.syms {
+            // Unit symbols are skeleton symbols, below every constant
+            // pseudo-symbol of the merge.
+            Some(syms) => syms
+                .iter()
+                .map(|s| {
+                    (s.index() < self.skeleton.interner().len())
+                        .then(|| self.nodes.lookup_single(attr_id, s.index()))
+                        .flatten()
+                        .map(GroundedNodeId::index)
+                })
+                .collect(),
+            None => units
+                .keys
+                .iter()
+                .map(|key| self.node_in(attr_id, key))
+                .collect(),
+        }
+    }
+
+    /// The observed or derived values of `nodes`, read through their
+    /// recorded signatures: a derived column cell, else the instance's cell
+    /// for the node's key symbol, each attribute resolved once per call.
+    /// Equal to [`StreamedModel::value_of`] of each node's grounded
+    /// attribute; `instance` must be the instance this model grounds (or an
+    /// attribute-only successor of it).
+    fn node_values(&self, instance: &Instance, nodes: &[NodeId]) -> Vec<Option<f64>> {
+        let skeleton_syms = self.skeleton.interner().len();
+        let mut readers: Vec<Option<reldb::AttrReader<'_>>> = vec![None; self.nodes.names.len()];
+        nodes
+            .iter()
+            .map(|&node| {
+                let NodeSig { attr, sig } = self.nodes.sigs[node];
+                let (attr, sig) = (attr as usize, sig as usize);
+                if sig == NodeSig::MULTI as usize || sig >= skeleton_syms {
+                    // Other arities and constants absent from the skeleton
+                    // read by key.
+                    return self.value_of(instance, self.graph.node(node));
+                }
+                if let Some(v) =
+                    self.node_derived[attr].and_then(|d| self.derived.single[d].get(sig))
+                {
+                    return Some(v);
+                }
+                readers[attr]
+                    .get_or_insert_with(|| instance.attribute_reader(&self.nodes.names[attr]))
+                    .at_sym(Sym::from_index(sig))
+                    .and_then(Value::as_f64)
+            })
+            .collect()
+    }
+
+    /// The observed or derived values of `attr` for `units` (see
+    /// [`GroundedValues::unit_values`]), read by unit symbol or row.
+    fn unit_values(
+        &self,
+        instance: &Instance,
+        attr: &str,
+        units: UnitRows<'_>,
+    ) -> Vec<Option<f64>> {
+        let Some(syms) = units.syms else {
+            return units
+                .keys
+                .iter()
+                .map(|key| {
+                    self.derived
+                        .get_key(instance.skeleton().interner(), attr, key)
+                        .or_else(|| instance.attribute_f64(attr, key))
+                })
+                .collect();
+        };
+        let derived = self
+            .derived
+            .attr_ids
+            .get(attr)
+            .map(|&d| &self.derived.single[d]);
+        let reader = instance.attribute_reader(attr);
+        syms.iter()
+            .enumerate()
+            .map(|(i, s)| {
+                derived
+                    .and_then(|column| column.get(s.index()))
+                    .or_else(|| {
+                        units
+                            .cell(instance, attr, &reader, i)
+                            .and_then(Value::as_f64)
+                    })
+            })
+            .collect()
     }
 }
 
@@ -876,14 +1227,13 @@ struct RuleSpecs<'c> {
 fn merge_rule_batch(
     rule: &CausalRule,
     specs: &RuleSpecs<'_>,
-    instance: &Instance,
     nodes: &mut NodeTable,
     graph: &mut CausalGraph,
     edges: &mut Vec<(u32, u32)>,
     answers: &TupleAnswers<'_>,
 ) -> CarlResult<()> {
     for row in answers.rows() {
-        if !specs.residual.hold(row, answers, instance) {
+        if !specs.residual.hold(row, answers) {
             continue;
         }
         let head_id = nodes.node_id(
@@ -999,6 +1349,51 @@ trait SourceResolver {
     ) -> CarlResult<Option<f64>>;
 }
 
+/// The observed numeric value of a source grounding, read from its
+/// attribute's `source` view by the signature's symbols. A signature past
+/// the skeleton's symbols (a constant pseudo-symbol) names no unit of the
+/// skeleton and reads `source.attr` by `key()`.
+fn observed_by_sig(
+    source: &ObservedSource<'_>,
+    sig: &[u32],
+    key: impl FnOnce() -> CarlResult<UnitKey>,
+) -> CarlResult<Option<f64>> {
+    let value = match sig {
+        [s] if (*s as usize) < source.skeleton_syms => {
+            source.reader.at_sym(Sym::from_index(*s as usize))
+        }
+        _ if sig.iter().all(|&s| (s as usize) < source.skeleton_syms) => {
+            let syms: Vec<Sym> = sig.iter().map(|&s| Sym::from_index(s as usize)).collect();
+            source.reader.at_syms(&syms)
+        }
+        _ => source.instance.attribute(source.attr, &key()?),
+    };
+    Ok(value.and_then(Value::as_f64))
+}
+
+/// An aggregate source attribute's observed cells, resolved once per
+/// aggregate.
+#[derive(Clone, Copy)]
+struct ObservedSource<'a> {
+    attr: &'a str,
+    reader: reldb::AttrReader<'a>,
+    instance: &'a Instance,
+    /// Number of skeleton symbols: signatures below it are skeleton
+    /// symbols, the rest constant pseudo-symbols.
+    skeleton_syms: usize,
+}
+
+impl<'a> ObservedSource<'a> {
+    fn new(instance: &'a Instance, attr: &'a str) -> Self {
+        Self {
+            attr,
+            reader: instance.attribute_reader(attr),
+            instance,
+            skeleton_syms: instance.skeleton().interner().len(),
+        }
+    }
+}
+
 /// The streamed cold merge's resolver: source nodes are created in the
 /// grounding's own graph/node table, values read from its partially built
 /// derived store (aggregates-over-aggregates) with an instance fallback.
@@ -1009,7 +1404,7 @@ struct MergeSources<'a, 'b> {
     /// derived values for it.
     source_store_id: Option<usize>,
     store: &'b DerivedStore,
-    instance: &'a Instance,
+    observed: ObservedSource<'a>,
     nodes: &'b mut NodeTable,
     graph: &'b mut CausalGraph,
 }
@@ -1055,14 +1450,14 @@ impl SourceResolver for MergeSources<'_, '_> {
         _row: &[Sym],
         _answers: &TupleAnswers<'_>,
     ) -> CarlResult<Option<f64>> {
-        let node = node.expect("merge resolver creates every source node");
-        Ok(self
+        if let Some(v) = self
             .source_store_id
             .and_then(|id| self.store.single[id].get(ssig))
-            .or_else(|| {
-                self.instance
-                    .attribute_f64(self.source_attr, &self.graph.node(node.index()).key)
-            }))
+        {
+            return Ok(Some(v));
+        }
+        let sig = u32::try_from(ssig).expect("signature symbols fit u32");
+        self.observed_value(&[sig], node)
     }
 
     fn value_multi(
@@ -1073,14 +1468,23 @@ impl SourceResolver for MergeSources<'_, '_> {
         _row: &[Sym],
         _answers: &TupleAnswers<'_>,
     ) -> CarlResult<Option<f64>> {
-        let node = node.expect("merge resolver creates every source node");
-        Ok(self
+        if let Some(v) = self
             .source_store_id
             .and_then(|id| self.store.multi[id].get(sig).copied())
-            .or_else(|| {
-                self.instance
-                    .attribute_f64(self.source_attr, &self.graph.node(node.index()).key)
-            }))
+        {
+            return Ok(Some(v));
+        }
+        self.observed_value(sig, node)
+    }
+}
+
+impl MergeSources<'_, '_> {
+    /// The observed value of the source node with signature `sig`.
+    fn observed_value(&self, sig: &[u32], node: Option<GroundedNodeId>) -> CarlResult<Option<f64>> {
+        let node = node.expect("merge resolver creates every source node");
+        observed_by_sig(&self.observed, sig, || {
+            Ok(self.graph.node(node.index()).key.clone())
+        })
     }
 }
 
@@ -1089,13 +1493,12 @@ impl SourceResolver for MergeSources<'_, '_> {
 /// from the base graph contribute their value but no node), values read
 /// from the base's derived sinks with an instance fallback.
 struct ExtensionSources<'a> {
-    source_attr: &'a str,
     /// The base node table's id for the source attribute, if it ever
     /// grounded one.
     source_node_attr: Option<usize>,
     source_store_id: Option<usize>,
     base: &'a StreamedModel,
-    instance: &'a Instance,
+    observed: ObservedSource<'a>,
     /// Signature bound at this batch (the extension mints constant
     /// pseudo-symbols on top of the base's, so the bound is per-batch).
     sig_bound: usize,
@@ -1144,8 +1547,8 @@ impl SourceResolver for ExtensionSources<'_> {
         {
             return Ok(Some(v));
         }
-        let key = resolve_args(spec, row, answers)?;
-        Ok(self.instance.attribute_f64(self.source_attr, &key))
+        let sig = u32::try_from(ssig).expect("signature symbols fit u32");
+        observed_by_sig(&self.observed, &[sig], || resolve_args(spec, row, answers))
     }
 
     fn value_multi(
@@ -1162,8 +1565,7 @@ impl SourceResolver for ExtensionSources<'_> {
         {
             return Ok(Some(v));
         }
-        let key = resolve_args(spec, row, answers)?;
-        Ok(self.instance.attribute_f64(self.source_attr, &key))
+        observed_by_sig(&self.observed, sig, || resolve_args(spec, row, answers))
     }
 }
 
@@ -1180,12 +1582,11 @@ fn merge_agg_batch<R: SourceResolver>(
     agg: &AggregateRule,
     specs: &AggSpecs<'_>,
     resolver: &mut R,
-    instance: &Instance,
     t: &mut AggTables,
     answers: &TupleAnswers<'_>,
 ) -> CarlResult<()> {
     for row in answers.rows() {
-        if !specs.residual.hold(row, answers, instance) {
+        if !specs.residual.hold(row, answers) {
             continue;
         }
         if let Some(var) = &specs.spec_error {
@@ -1353,7 +1754,7 @@ pub fn ground_streaming(
             &prep.filters,
             |answers| {
                 if specs.is_none() {
-                    let residual = RowComparisons::compile(&prep.residual, answers);
+                    let residual = RowComparisons::compile(&prep.residual, answers, instance);
                     let head_spec = arg_slots(&rule.head.args, answers, interner, &mut consts);
                     let head_attr_id = nodes.attr_id(&rule.head.attr);
                     let body_specs: Vec<(usize, Vec<ArgSlot>)> = rule
@@ -1375,9 +1776,7 @@ pub fn ground_streaming(
                     });
                 }
                 let specs = specs.as_ref().expect("specs compiled above");
-                merge_rule_batch(
-                    rule, specs, instance, &mut nodes, &mut graph, &mut edges, answers,
-                )
+                merge_rule_batch(rule, specs, &mut nodes, &mut graph, &mut edges, answers)
             },
         )?;
     }
@@ -1393,6 +1792,7 @@ pub fn ground_streaming(
         // derived values for it (aggregates over aggregates; topological
         // order guarantees those values are complete by now).
         let source_store_id = store.attr_ids.get(&agg.source.attr).copied();
+        let observed = ObservedSource::new(instance, &agg.source.attr);
 
         let mut tables = AggTables::default();
         let mut specs: Option<AggSpecs<'_>> = None;
@@ -1405,7 +1805,7 @@ pub fn ground_streaming(
             &prep.filters,
             |answers| {
                 if specs.is_none() {
-                    let residual = RowComparisons::compile(&prep.residual, answers);
+                    let residual = RowComparisons::compile(&prep.residual, answers, instance);
                     let head_spec = arg_slots(&agg.head_args, answers, interner, &mut consts);
                     let source_spec = arg_slots(&agg.source.args, answers, interner, &mut consts);
                     source_attr_id = nodes.attr_id(&agg.source.attr);
@@ -1426,11 +1826,11 @@ pub fn ground_streaming(
                     source_attr_id,
                     source_store_id,
                     store: &store,
-                    instance,
+                    observed,
                     nodes: &mut nodes,
                     graph: &mut graph,
                 };
-                merge_agg_batch(agg, specs, &mut resolver, instance, &mut tables, answers)
+                merge_agg_batch(agg, specs, &mut resolver, &mut tables, answers)
             },
         )?;
 
@@ -1473,12 +1873,12 @@ pub fn ground_streaming(
             t2.elapsed().as_secs_f64() * 1e3
         );
     }
-    Ok(StreamedModel {
-        graph: std::sync::Arc::new(graph),
-        derived: store,
-        nodes: std::sync::Arc::new(nodes),
-        skeleton: instance.skeleton_shared(),
-    })
+    Ok(StreamedModel::new(
+        graph,
+        store,
+        nodes,
+        instance.skeleton_shared(),
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -1841,17 +2241,57 @@ impl AggregateExtension {
     ) -> Option<usize> {
         if self.single_head {
             let [value] = key.as_slice() else { return None };
-            let sig = self.derived.sig_of(interner, value)? as usize;
-            match self.group_dense.get(sig) {
-                Some(&g) if g != NO_GROUP => Some(g as usize),
-                _ => None,
-            }
+            self.group_of_sig(self.derived.sig_of(interner, value)? as usize)
         } else {
             let sig: Option<Vec<u32>> = key
                 .iter()
                 .map(|v| self.derived.sig_of(interner, v))
                 .collect();
             self.group_map.get(&sig?).map(|&g| g as usize)
+        }
+    }
+
+    /// The group of a single-argument head signature, if any.
+    fn group_of_sig(&self, sig: usize) -> Option<usize> {
+        match self.group_dense.get(sig) {
+            Some(&g) if g != NO_GROUP => Some(g as usize),
+            _ => None,
+        }
+    }
+
+    /// The group derived for each unit, in unit order: by unit symbol when
+    /// the units carry symbols and heads are single-argument, else by key.
+    pub(crate) fn unit_groups(
+        &self,
+        interner: &reldb::SymbolTable,
+        units: UnitRows<'_>,
+    ) -> Vec<Option<usize>> {
+        match units.syms.filter(|_| self.single_head) {
+            Some(syms) => syms.iter().map(|s| self.group_of_sig(s.index())).collect(),
+            None => units
+                .keys
+                .iter()
+                .map(|key| self.group_of_key(interner, key))
+                .collect(),
+        }
+    }
+
+    /// This extension's derived value for each unit, in unit order (what
+    /// [`AggregateExtension::value_of`] gives `attr[unit]`).
+    pub(crate) fn unit_values(&self, instance: &Instance, units: UnitRows<'_>) -> Vec<Option<f64>> {
+        match units.syms.filter(|_| self.single_head) {
+            Some(syms) => syms
+                .iter()
+                .map(|s| self.derived.single[0].get(s.index()))
+                .collect(),
+            None => units
+                .keys
+                .iter()
+                .map(|key| {
+                    self.derived
+                        .get_key(instance.skeleton().interner(), &self.attr, key)
+                })
+                .collect(),
         }
     }
 
@@ -1882,6 +2322,7 @@ pub fn ground_aggregate_extension(
     };
     let source_node_attr = base.nodes.lookup_attr(&agg.source.attr);
     let source_store_id = base.derived.attr_ids.get(&agg.source.attr).copied();
+    let observed = ObservedSource::new(instance, &agg.source.attr);
 
     let mut tables = AggTables::default();
     let mut specs: Option<AggSpecs<'_>> = None;
@@ -1894,7 +2335,7 @@ pub fn ground_aggregate_extension(
         &prep.filters,
         |answers| {
             if specs.is_none() {
-                let residual = RowComparisons::compile(&prep.residual, answers);
+                let residual = RowComparisons::compile(&prep.residual, answers, instance);
                 let head_spec = arg_slots(&agg.head_args, answers, interner, &mut consts);
                 let source_spec = arg_slots(&agg.source.args, answers, interner, &mut consts);
                 single_head = head_spec.len() == 1;
@@ -1910,14 +2351,13 @@ pub fn ground_aggregate_extension(
             }
             let specs = specs.as_ref().expect("specs compiled above");
             let mut resolver = ExtensionSources {
-                source_attr: &agg.source.attr,
                 source_node_attr,
                 source_store_id,
                 base,
-                instance,
+                observed,
                 sig_bound: consts.bound(),
             };
-            merge_agg_batch(agg, specs, &mut resolver, instance, &mut tables, answers)
+            merge_agg_batch(agg, specs, &mut resolver, &mut tables, answers)
         },
     )?;
 

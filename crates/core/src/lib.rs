@@ -85,7 +85,7 @@ pub use graph::{
 };
 pub use ground::{
     ground, ground_aggregate_extension, ground_streaming, ground_with, AggregateExtension,
-    GroundedModel, GroundedValues, PatchBlock, PatchSafety, StreamedModel,
+    GroundedModel, GroundedValues, PatchBlock, PatchSafety, StreamedModel, UnitRows,
 };
 pub use history::{check_history, digest_answer, HistoryEvent, HistoryLog, Violation};
 pub use model::RelationalCausalModel;

@@ -12,8 +12,13 @@
 //! after grounding hashes or clones a [`UnitKey`] per peer edge. The
 //! key-addressed map of earlier versions survives only as the reference in
 //! [`crate::rowwise`].
+//!
+//! Each unit's treatment and response nodes are resolved once, through
+//! [`GroundedValues::unit_nodes`]: by the units' skeleton symbols when the
+//! engine passes them, by key from the public entry points.
 
-use crate::ground::{AggregateExtension, GroundedValues, StreamedModel};
+use crate::graph::NodeId;
+use crate::ground::{AggregateExtension, GroundedValues, StreamedModel, UnitRows};
 use reldb::{Instance, UnitKey};
 use std::sync::Arc;
 
@@ -32,16 +37,13 @@ pub struct PeerMap {
 impl PeerMap {
     /// Wrap per-unit peer lists built in ascending row order, re-sorting
     /// them into key order when the units themselves are not sorted.
-    fn from_lists(units: &[UnitKey], mut lists: Vec<Vec<u32>>) -> Self {
-        if !units.windows(2).all(|w| w[0] <= w[1]) {
+    fn from_lists(units: Arc<[UnitKey]>, mut lists: Vec<Vec<u32>>) -> Self {
+        if lists.iter().any(|l| l.len() > 1) && !units.windows(2).all(|w| w[0] <= w[1]) {
             for list in &mut lists {
                 list.sort_by(|&a, &b| units[a as usize].cmp(&units[b as usize]));
             }
         }
-        Self {
-            units: units.into(),
-            lists,
-        }
+        Self { units, lists }
     }
 
     /// The units this map was built over, in row order.
@@ -120,6 +122,24 @@ pub fn compute_peers<G: GroundedValues>(
     response_attr: &str,
     units: &[UnitKey],
 ) -> PeerMap {
+    compute_peers_rows(
+        grounded,
+        treatment_attr,
+        response_attr,
+        UnitRows::keys(units),
+        units.into(),
+    )
+}
+
+/// [`compute_peers`] over units with their row addressing; `shared` is the
+/// unit list `units` names, kept by the returned map.
+pub(crate) fn compute_peers_rows<G: GroundedValues>(
+    grounded: &G,
+    treatment_attr: &str,
+    response_attr: &str,
+    units: UnitRows<'_>,
+    shared: Arc<[UnitKey]>,
+) -> PeerMap {
     let graph = grounded.graph();
     let n = graph.node_count();
 
@@ -127,8 +147,12 @@ pub fn compute_peers<G: GroundedValues>(
     // node of any unit). Each unit has at most one response node (grounded
     // attributes are unique), so no per-hit dedup is needed.
     let mut response_of: Vec<u32> = vec![u32::MAX; n];
-    for (ui, unit) in units.iter().enumerate() {
-        if let Some(rid) = grounded.node_of(response_attr, unit) {
+    for (ui, rid) in grounded
+        .unit_nodes(response_attr, units)
+        .into_iter()
+        .enumerate()
+    {
+        if let Some(rid) = rid {
             response_of[rid] = row(ui);
         }
     }
@@ -141,11 +165,7 @@ pub fn compute_peers<G: GroundedValues>(
     let mut lists: Vec<Vec<u32>> = vec![Vec::new(); units.len()];
     let mut stamps: Vec<u32> = vec![0; n];
     let mut stack: Vec<usize> = Vec::new();
-    for (pi, p) in units.iter().enumerate() {
-        let Some(tid) = grounded.node_of(treatment_attr, p) else {
-            continue;
-        };
-        let pi = row(pi);
+    for (pi, tid) in treatment_nodes(grounded, treatment_attr, units) {
         let epoch = pi + 1;
         stamps[tid] = epoch;
         stack.push(tid);
@@ -163,7 +183,20 @@ pub fn compute_peers<G: GroundedValues>(
             }
         }
     }
-    PeerMap::from_lists(units, lists)
+    PeerMap::from_lists(shared, lists)
+}
+
+/// `(unit row, treatment node)` of every unit that has a treatment node.
+fn treatment_nodes<G: GroundedValues>(
+    grounded: &G,
+    treatment_attr: &str,
+    units: UnitRows<'_>,
+) -> impl Iterator<Item = (u32, NodeId)> {
+    grounded
+        .unit_nodes(treatment_attr, units)
+        .into_iter()
+        .enumerate()
+        .filter_map(|(ui, tid)| Some((row(ui), tid?)))
 }
 
 /// Compute relational peers when the response is a query-synthesised
@@ -184,17 +217,28 @@ pub fn compute_peers_streamed(
     units: &[UnitKey],
     instance: &Instance,
 ) -> PeerMap {
+    let syms = UnitRows::resolve(units, instance.skeleton().interner());
+    let rows = UnitRows::with_syms(units, syms.as_deref(), instance.skeleton().interner());
+    compute_peers_streamed_rows(base, ext, treatment_attr, rows, units.into(), instance)
+}
+
+/// [`compute_peers_streamed`] over units with their row addressing;
+/// `shared` is the unit list `units` names, kept by the returned map.
+pub(crate) fn compute_peers_streamed_rows(
+    base: &StreamedModel,
+    ext: &AggregateExtension,
+    treatment_attr: &str,
+    units: UnitRows<'_>,
+    shared: Arc<[UnitKey]>,
+    instance: &Instance,
+) -> PeerMap {
     let graph = &base.graph;
-    let interner = instance.skeleton().interner();
     let n = graph.node_count();
 
     // Source node id → rows of the units whose (virtual) response group it
     // feeds, as CSR: `fed[feed_start[s]..feed_start[s + 1]]`. A source can
     // feed several groups.
-    let groups: Vec<Option<usize>> = units
-        .iter()
-        .map(|unit| ext.group_of_key(interner, unit))
-        .collect();
+    let groups = ext.unit_groups(instance.skeleton().interner(), units);
     let mut feed_start: Vec<u32> = vec![0; n + 1];
     for &group in groups.iter().flatten() {
         for &sid in ext.sources_of(group) {
@@ -221,13 +265,7 @@ pub fn compute_peers_streamed(
     let mut stamps: Vec<u32> = vec![0; n];
     let mut unit_stamps: Vec<u32> = vec![0; units.len()];
     let mut stack: Vec<usize> = Vec::new();
-    for (pi, p) in units.iter().enumerate() {
-        // Interned probe through the base's node table — no `GroundedAttr`
-        // construction or fingerprint hash per unit.
-        let Some(tid) = base.node_of(treatment_attr, p) else {
-            continue;
-        };
-        let pi = row(pi);
+    for (pi, tid) in treatment_nodes(base, treatment_attr, units) {
         let epoch = pi + 1;
         let mark = |node: usize, unit_stamps: &mut Vec<u32>, lists: &mut Vec<Vec<u32>>| {
             for &ui in &fed[feed_start[node] as usize..feed_start[node + 1] as usize] {
@@ -254,7 +292,7 @@ pub fn compute_peers_streamed(
         }
     }
 
-    PeerMap::from_lists(units, lists)
+    PeerMap::from_lists(shared, lists)
 }
 
 /// Summary statistics about a peer map (used in answers and reports).

@@ -26,7 +26,9 @@
 //!
 //! A request line longer than [`MAX_REQUEST_LINE_BYTES`] is answered with
 //! a protocol error and the connection closes, so no client can grow server
-//! memory without bound by withholding the newline.
+//! memory without bound by withholding the newline. A `COMMIT` of more than
+//! [`MAX_COMMIT_MUTATIONS`] specs is refused with a protocol error before
+//! any spec is parsed, so no epoch is installed.
 //!
 //! Every `QUERY` response carries the epoch it was answered on and the
 //! bit-exact [`crate::history::digest_answer`] digest, so a client can
@@ -45,6 +47,10 @@ use std::thread;
 /// The longest request line the TCP server reads, in bytes, not counting
 /// the newline.
 pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
+
+/// The most mutation specs one `COMMIT` may carry. A larger batch is
+/// answered with a protocol error and leaves the epoch where it was.
+pub const MAX_COMMIT_MUTATIONS: usize = 10_000;
 
 /// Escape a string for inclusion in a JSON string literal.
 fn json_escape(s: &str) -> String {
@@ -207,7 +213,17 @@ pub fn handle_request(service: &SnapshotEngine, line: &str) -> String {
             }
         }
         "COMMIT" if !rest.is_empty() => {
-            let mut mutations = Vec::new();
+            let specs = rest
+                .split(';')
+                .filter(|spec| !spec.trim().is_empty())
+                .take(MAX_COMMIT_MUTATIONS + 1)
+                .count();
+            if specs > MAX_COMMIT_MUTATIONS {
+                return error_response(&format!(
+                    "COMMIT batch exceeds {MAX_COMMIT_MUTATIONS} mutations"
+                ));
+            }
+            let mut mutations = Vec::with_capacity(specs);
             for spec in rest.split(';') {
                 let spec = spec.trim();
                 if spec.is_empty() {
@@ -411,6 +427,28 @@ mod tests {
         let resp = handle_request(&service, "COMMIT insert NoSuchRel a b");
         assert!(resp.starts_with("{\"ok\":false,"), "{resp}");
         assert_eq!(service.epoch(), 0);
+    }
+
+    #[test]
+    fn oversized_commit_batches_are_refused_before_parsing() {
+        let service = service();
+        // One spec past the bound; the last one would not even parse, so
+        // the refusal must come before any spec is parsed.
+        let mut batch = vec!["set Score s1 0.5"; MAX_COMMIT_MUTATIONS];
+        batch.push("dance Person Dana");
+        let resp = handle_request(&service, &format!("COMMIT {}", batch.join("; ")));
+        assert_eq!(
+            resp,
+            format!(
+                "{{\"ok\":false,\"error\":\"COMMIT batch exceeds {MAX_COMMIT_MUTATIONS} mutations\"}}"
+            )
+        );
+        assert_eq!(service.epoch(), 0);
+        // Empty specs do not count, and a batch at the bound commits.
+        batch.pop();
+        let resp = handle_request(&service, &format!("COMMIT {};;", batch.join("; ")));
+        assert!(resp.starts_with("{\"ok\":true,\"epoch\":1,"), "{resp}");
+        assert_eq!(service.epoch(), 1);
     }
 
     #[test]

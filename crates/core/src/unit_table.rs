@@ -10,8 +10,9 @@
 //! attribute, filled directly while walking the grounded model — no
 //! intermediate row values, no `Value` boxing, no per-row extraction.
 //! Estimators borrow columns as zero-copy `&[f64]` slices. The builder reads
-//! the [`PeerMap`] and the [`AdjustmentPlan`] by unit row index and looks up
-//! each unit's treatment once. The legacy row-oriented, key-addressed path
+//! the [`PeerMap`] and the [`AdjustmentPlan`] by unit row index, reads each
+//! unit's treatment once by skeleton row (or symbol), and reads outcomes
+//! through [`GroundedValues::unit_values`]. The legacy row-oriented, key-addressed path
 //! is preserved in [`crate::rowwise`] as the reference
 //! implementation for the differential test harness
 //! (`tests/columnar_vs_rowwise.rs`), which asserts that both paths produce
@@ -20,8 +21,7 @@
 use crate::adjust::AdjustmentPlan;
 use crate::embed::EmbeddingKind;
 use crate::error::{CarlError, CarlResult};
-use crate::graph::GroundedAttr;
-use crate::ground::{GroundedModel, GroundedValues};
+use crate::ground::{GroundedModel, GroundedValues, UnitRows};
 use crate::peers::{same_units, PeerMap};
 use reldb::{Instance, Table, UnitKey, Value};
 use std::collections::{HashMap, HashSet};
@@ -463,6 +463,21 @@ impl ColumnLayout {
 /// outcome or an observed binary treatment are skipped (they cannot
 /// contribute to estimation). Returns an error if no unit survives.
 pub fn build_unit_table<G: GroundedValues>(spec: &UnitTableSpec<'_, G>) -> CarlResult<UnitTable> {
+    let syms = UnitRows::resolve(spec.units, spec.instance.skeleton().interner());
+    let rows = UnitRows::with_syms(
+        spec.units,
+        syms.as_deref(),
+        spec.instance.skeleton().interner(),
+    );
+    build_unit_table_rows(spec, rows)
+}
+
+/// [`build_unit_table`] with the row addressing of `spec.units`, which
+/// `units` must describe.
+pub(crate) fn build_unit_table_rows<G: GroundedValues>(
+    spec: &UnitTableSpec<'_, G>,
+    units: UnitRows<'_>,
+) -> CarlResult<UnitTable> {
     let peer_units = spec.peers.units();
     if !same_units(spec.units, peer_units) {
         return Err(CarlError::UnitListMismatch("peer map".into()));
@@ -476,24 +491,26 @@ pub fn build_unit_table<G: GroundedValues>(spec: &UnitTableSpec<'_, G>) -> CarlR
     let layout = ColumnLayout::of(spec);
     let mut columns = layout.columns();
 
-    // Every unit's treatment, looked up once: the unit's own row and each
-    // peer edge pointing at it read this. `None` = no assignment,
+    // Every unit's treatment, read once by symbol: the unit's own row and
+    // each peer edge pointing at it read this. `None` = no assignment,
     // `Some(None)` = not binary.
-    let treatments: Vec<Option<Option<bool>>> = spec
-        .units
-        .iter()
-        .map(|u| {
-            spec.instance
-                .attribute(spec.treatment_attr, u)
+    let reader = spec.instance.attribute_reader(spec.treatment_attr);
+    let treatments: Vec<Option<Option<bool>>> = (0..units.len())
+        .map(|i| {
+            units
+                .cell(spec.instance, spec.treatment_attr, &reader, i)
                 .map(Value::as_bool)
         })
         .collect();
+    // Outcome: observed or derived value of the (unified) response.
+    let outcomes = spec
+        .grounded
+        .unit_values(spec.instance, spec.response_attr, units);
 
     let mut units_out = Vec::new();
     let mut peer_counts = Vec::new();
-    // Reusable buffers: one lookup node (its key refilled per unit), the
-    // value set being embedded and the cells of one row.
-    let mut outcome_node = GroundedAttr::new(spec.response_attr, Vec::new());
+    // Reusable buffers: the value set being embedded and the cells of one
+    // row.
     let mut values: Vec<f64> = Vec::new();
     let mut cells: Vec<f64> = Vec::with_capacity(columns.len());
     for (i, unit) in spec.units.iter().enumerate() {
@@ -502,10 +519,7 @@ pub fn build_unit_table<G: GroundedValues>(spec: &UnitTableSpec<'_, G>) -> CarlR
                 continue;
             }
         }
-        // Outcome: observed or derived value of the (unified) response.
-        outcome_node.key.clear();
-        outcome_node.key.extend_from_slice(unit);
-        let Some(outcome) = spec.grounded.value_of(spec.instance, &outcome_node) else {
+        let Some(outcome) = outcomes[i] else {
             continue;
         };
         // Own treatment: must be observed and binary.

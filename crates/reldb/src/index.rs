@@ -88,7 +88,10 @@ impl AttributeIndex {
     fn build(instance: &Instance, attr: &str) -> Self {
         let mut buckets: HashMap<Value, Vec<UnitKey>> = HashMap::new();
         for (key, value) in instance.attribute_assignments(attr) {
-            buckets.entry(value.clone()).or_default().push(key.clone());
+            buckets
+                .entry(value.clone())
+                .or_default()
+                .push(key.into_owned());
         }
         for bucket in buckets.values_mut() {
             bucket.sort();

@@ -1,12 +1,14 @@
 //! Observed relational instances: a skeleton plus attribute assignments
 //! (Section 3.1).
 
+use crate::attr_column::{component_hash, key_hash, AttrColumn, AttrReader, CellAddr};
 use crate::error::{RelError, RelResult};
 use crate::schema::{PredicateKind, RelationalSchema};
 use crate::skeleton::{Skeleton, UnitKey};
-use crate::value::{fnv1a, Value, ValueKey, FNV_OFFSET};
+use crate::symbols::Sym;
+use crate::value::{fnv1a, Value, ValueKey};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -207,24 +209,41 @@ impl DeltaSet {
 
 /// An observed relational instance conforming to a [`RelationalSchema`].
 ///
-/// The instance owns its schema, its relational skeleton, and one map per
-/// attribute function from unit keys to values. Unobserved attribute
-/// functions (e.g. `Quality[S]` in the running example) simply have no
-/// stored assignments.
+/// The instance owns its schema, its relational skeleton, and one column
+/// per attribute function. Unobserved attribute functions (e.g.
+/// `Quality[S]` in the running example) simply have no stored cells.
 ///
-/// The skeleton and each per-attribute map live behind [`Arc`]s with
+/// # Storage layout
+///
+/// Each attribute is stored once, addressed by the skeleton rather than by
+/// hashed `UnitKey`s (see [`crate::attr_column`]):
+///
+/// * an attribute of an entity class is a column aligned to that class's
+///   rows in [`Skeleton::entity_keys`] — the `Value` of each row plus a
+///   presence bitmap. Entity rows are append-only, so cells never shift;
+/// * an attribute of a relationship (e.g. MIMIC's `Dose[D, P]`) keys each
+///   cell by its tuple's interned symbols.
+///
+/// Key-addressed reads ([`Instance::attribute`]) resolve the key to a row
+/// or symbol tuple; [`Instance::attribute_reader`] resolves an attribute
+/// once so per-unit reads by row ([`AttrReader::at_row`]) or by symbol
+/// ([`AttrReader::at_sym`]) do no `Value` hashing at all.
+///
+/// # Copy-on-write
+///
+/// The skeleton and each attribute column live behind [`Arc`]s with
 /// copy-on-write mutation ([`Arc::make_mut`]): cloning an instance — the
 /// first step of every [`Instance::apply`], i.e. of every committed epoch —
 /// is O(#attributes) pointer bumps, and a mutation batch deep-copies only
-/// the maps it actually writes. An attribute-only commit therefore never
-/// re-copies the skeleton (or the untouched attributes), which is what
-/// keeps epoch creation proportional to the delta rather than the world.
+/// the columns it actually writes. An attribute-only commit therefore never
+/// re-copies the skeleton (or the untouched columns), which is what keeps
+/// epoch creation proportional to the touched columns rather than the world.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Instance {
     schema: RelationalSchema,
     skeleton: Arc<Skeleton>,
-    /// attribute name → (unit key → value)
-    attributes: BTreeMap<String, Arc<HashMap<UnitKey, Value>>>,
+    /// attribute name → its cells
+    attributes: BTreeMap<String, Arc<AttrColumn>>,
 }
 
 impl Instance {
@@ -258,7 +277,11 @@ impl Instance {
     pub fn add_entity(&mut self, entity: &str, key: Value) -> RelResult<()> {
         match self.schema.require_predicate(entity)? {
             PredicateKind::Entity => {
+                let adopt = self.has_orphans().then(|| key.clone());
                 Arc::make_mut(&mut self.skeleton).add_entity(entity, key);
+                if let Some(key) = adopt {
+                    self.adopt_orphans(entity, &[key]);
+                }
                 Ok(())
             }
             PredicateKind::Relationship => Err(RelError::UnknownPredicate(format!(
@@ -295,21 +318,59 @@ impl Instance {
                 });
             }
         }
+        let adopt = self.has_orphans().then(|| tuple.clone());
         Arc::make_mut(&mut self.skeleton).add_relationship(rel, tuple);
+        if let Some(tuple) = adopt {
+            self.adopt_orphans(rel, &tuple);
+        }
         Ok(())
+    }
+
+    /// Whether any attribute holds a cell whose key is not a unit.
+    fn has_orphans(&self) -> bool {
+        self.attributes.values().any(|c| c.has_orphans())
+    }
+
+    /// Move cells stored for `key` before it was a unit of `predicate`
+    /// into their columns. Copies only a column that adopts a cell.
+    fn adopt_orphans(&mut self, predicate: &str, key: &[Value]) {
+        for column in self.attributes.values_mut() {
+            if !column.has_orphans() || column.subject() != predicate {
+                continue;
+            }
+            let addr = column.locate(&self.skeleton, key);
+            if addr != CellAddr::Orphan {
+                Arc::make_mut(column).adopt(key, addr);
+            }
+        }
+    }
+
+    /// Where the cell of `attr` for `key` lives, with the attribute's
+    /// column if it has one.
+    fn cell(&self, attr: &str, key: &[Value]) -> Option<(&Arc<AttrColumn>, CellAddr)> {
+        let column = self.attributes.get(attr)?;
+        Some((column, column.locate(&self.skeleton, key)))
     }
 
     /// Assign `value` to attribute `attr` of the unit identified by `key`.
     /// Returns the previous value of the cell, if it was assigned — delta
     /// emission uses this to distinguish effective changes from rewrites
     /// of the same bits.
+    ///
+    /// A key that is not (yet) a unit of the attribute's subject class is
+    /// accepted: the cell stays readable by key and moves into the column
+    /// once its unit is added to the skeleton.
     pub fn set_attribute(
         &mut self,
         attr: &str,
         key: &[Value],
         value: Value,
     ) -> RelResult<Option<Value>> {
-        let def = self.schema.require_attribute(attr)?.clone();
+        let def = self.schema.require_attribute(attr)?;
+        let kind = self
+            .schema
+            .predicate_kind(&def.subject)
+            .expect("attribute subject must be a declared predicate");
         let arity = self
             .schema
             .predicate_arity(&def.subject)
@@ -328,10 +389,11 @@ impl Instance {
                 value: value.to_string(),
             });
         }
-        Ok(
-            Arc::make_mut(self.attributes.entry(attr.to_string()).or_default())
-                .insert(key.to_vec(), value),
-        )
+        let column = self.attributes.entry(attr.to_string()).or_insert_with(|| {
+            Arc::new(AttrColumn::new(&def.subject, kind == PredicateKind::Entity))
+        });
+        let addr = column.locate(&self.skeleton, key);
+        Ok(Arc::make_mut(column).set(addr, key, value))
     }
 
     /// Remove a relationship tuple. Returns `Ok(true)` if the tuple was
@@ -360,12 +422,15 @@ impl Instance {
     pub fn clear_attribute(&mut self, attr: &str, key: &[Value]) -> RelResult<Option<Value>> {
         self.schema.require_attribute(attr)?;
         // Probe before `make_mut`: clearing an unassigned cell must stay a
-        // no-op, not force a deep copy of a shared attribute map.
-        Ok(self
-            .attributes
-            .get_mut(attr)
-            .filter(|m| m.contains_key(key))
-            .and_then(|m| Arc::make_mut(m).remove(key)))
+        // no-op, not force a deep copy of a shared column.
+        let Some((column, addr)) = self.cell(attr, key) else {
+            return Ok(None);
+        };
+        if column.get(&addr, key).is_none() {
+            return Ok(None);
+        }
+        let column = self.attributes.get_mut(attr).expect("probed above");
+        Ok(Arc::make_mut(column).remove(&addr, key))
     }
 
     /// Apply a batch of [`Mutation`]s to a copy of this instance, returning
@@ -454,7 +519,8 @@ impl Instance {
 
     /// Read the value of attribute `attr` for unit `key`, if assigned.
     pub fn attribute(&self, attr: &str, key: &[Value]) -> Option<&Value> {
-        self.attributes.get(attr)?.get(key)
+        let (column, addr) = self.cell(attr, key)?;
+        column.get(&addr, key)
     }
 
     /// Read the value of `attr` for `key` as an `f64`, treating missing or
@@ -463,14 +529,30 @@ impl Instance {
         self.attribute(attr, key).and_then(Value::as_f64)
     }
 
-    /// Number of stored assignments for attribute `attr`.
-    pub fn attribute_count(&self, attr: &str) -> usize {
-        self.attributes.get(attr).map_or(0, |m| m.len())
+    /// A view of attribute `attr` resolved once, for reads by skeleton row
+    /// ([`AttrReader::at_row`]) or interned key symbols
+    /// ([`AttrReader::at_sym`], [`AttrReader::at_syms`]). An attribute with
+    /// no stored cells reads `None` everywhere.
+    pub fn attribute_reader(&self, attr: &str) -> AttrReader<'_> {
+        AttrReader::new(self.attributes.get(attr).map(Arc::as_ref), &self.skeleton)
     }
 
-    /// Iterate over all assignments of attribute `attr`.
-    pub fn attribute_assignments(&self, attr: &str) -> impl Iterator<Item = (&UnitKey, &Value)> {
-        self.attributes.get(attr).into_iter().flat_map(|m| m.iter())
+    /// Number of stored assignments for attribute `attr`.
+    pub fn attribute_count(&self, attr: &str) -> usize {
+        self.attributes.get(attr).map_or(0, |c| c.len())
+    }
+
+    /// Iterate over all assignments of attribute `attr`: entity cells in
+    /// row order with keys borrowed from the skeleton, relationship cells
+    /// with keys rebuilt from their symbols.
+    pub fn attribute_assignments(
+        &self,
+        attr: &str,
+    ) -> impl Iterator<Item = (Cow<'_, [Value]>, &Value)> + '_ {
+        self.attributes
+            .get(attr)
+            .into_iter()
+            .flat_map(|c| c.cells(&self.skeleton))
     }
 
     /// All units of the predicate that attribute `attr` attaches to.
@@ -491,25 +573,40 @@ impl Instance {
     /// alone — is the correct grounding-cache key: any content change,
     /// structural or attributive, changes the fingerprint.
     ///
-    /// Attribute assignments live in hash maps with nondeterministic
-    /// iteration order, so their contribution is combined with an
-    /// order-independent XOR of per-entry hashes.
+    /// Each cell contributes a hash of its key and value, combined with an
+    /// order-independent XOR, so the result depends only on which cells
+    /// hold which values, never on the order they were written in or on
+    /// where they are stored. Attributes without cells contribute nothing.
+    /// A scan hashes every skeleton value once and then walks the columns.
     pub fn fingerprint(&self) -> u64 {
-        let fnv = fnv1a;
         let mut h = self.skeleton.fingerprint();
-        for (attr, assignments) in &self.attributes {
-            fnv(&mut h, attr.as_bytes());
-            fnv(&mut h, &[0xfa]);
-            let mut combined: u64 = 0;
-            for (key, value) in assignments.iter() {
-                let mut entry = FNV_OFFSET;
-                for v in key {
-                    v.fold_key_bytes(&mut |bytes| fnv(&mut entry, bytes));
-                    fnv(&mut entry, &[0xf9]);
-                }
-                value.fold_key_bytes(&mut |bytes| fnv(&mut entry, bytes));
-                combined ^= entry;
+        let interner = self.skeleton.interner();
+        let sym_hashes: Vec<u64> = (0..interner.len())
+            .map(|i| component_hash(interner.value(Sym::from_index(i))))
+            .collect();
+        let mut row_hashes: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
+        for (attr, column) in &self.attributes {
+            if column.len() == 0 {
+                continue;
             }
+            let rows: &[u64] = match column.entity() {
+                Some(class) => row_hashes.entry(class).or_insert_with(|| {
+                    self.skeleton
+                        .entity_syms(class)
+                        .iter()
+                        .map(|s| key_hash([sym_hashes[s.index()]]))
+                        .collect()
+                }),
+                None => &[],
+            };
+            fnv1a(&mut h, attr.as_bytes());
+            fnv1a(&mut h, &[0xfa]);
+            let mut combined: u64 = 0;
+            column.fold_cells(&sym_hashes, rows, |key, value| {
+                let mut entry = key;
+                value.fold_key_bytes(&mut |bytes| fnv1a(&mut entry, bytes));
+                combined ^= entry;
+            });
             h ^= combined;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -519,7 +616,7 @@ impl Instance {
     /// Total number of attribute assignments across all attributes
     /// (a proxy for "rows" when reporting dataset sizes).
     pub fn total_attribute_assignments(&self) -> usize {
-        self.attributes.values().map(|m| m.len()).sum()
+        self.attributes.values().map(|c| c.len()).sum()
     }
 
     /// Build the full REVIEWDATA instance of the paper's Figure 2,

@@ -54,6 +54,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod aggregate;
+pub mod attr_column;
 pub mod csv;
 pub mod error;
 pub mod eval;
@@ -69,6 +70,7 @@ pub mod universal;
 pub mod value;
 
 pub use aggregate::{group_by, AggFn};
+pub use attr_column::AttrReader;
 pub use error::{RelError, RelResult};
 pub use eval::{
     evaluate, evaluate_filtered, evaluate_in, evaluate_naive, evaluate_project, evaluate_tuples,

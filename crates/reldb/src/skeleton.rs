@@ -11,6 +11,11 @@
 //! class, `Vec<Vec<Sym>>` per relationship) and keys its positional indexes
 //! and duplicate-detection sets on 4-byte symbols instead of heap values.
 //! The tuple executor in [`crate::eval`] runs entirely over these mirrors.
+//!
+//! Entity rows are append-only: the key at row `r` of a class never moves,
+//! so the instance's attribute columns (see [`crate::Instance`]) align to
+//! these rows, and each class's one membership index maps a key symbol to
+//! its row.
 
 use crate::error::{RelError, RelResult};
 use crate::schema::{PredicateKind, RelationalSchema};
@@ -30,6 +35,16 @@ pub type UnitKey = Vec<Value>;
 /// relationship tuples, with interned dense mirrors and adjacency indexes
 /// for efficient traversal.
 ///
+/// Entity keys are stored per class in insertion order; a key's position
+/// is its **row**. Rows are append-only (entities are never removed), so
+/// the instance's attribute columns align to them, and each class has one
+/// index, key symbol → row ([`Skeleton::entity_rows`]), that serves both
+/// membership tests and row lookups. Relationship tuples are stored per
+/// relationship; their rows shift when a tuple is removed.
+///
+/// The skeleton is one copy-on-write unit of an [`crate::Instance`]: a
+/// structural commit copies it whole, an attribute-only commit shares it.
+///
 /// All `#[serde(skip)]` fields are derived state. They are maintained
 /// eagerly by `add_entity`/`add_relationship` and rebuilt by
 /// [`Skeleton::rebuild_indexes`], which must be called after
@@ -48,9 +63,10 @@ pub struct Skeleton {
     /// Dense mirror of `entities` (aligned per class).
     #[serde(skip)]
     entity_syms: BTreeMap<String, Vec<Sym>>,
-    /// Fast membership test per entity class.
+    /// Per entity class: key symbol → row in `entities[class]` (the one
+    /// membership index of the class; rows never move).
     #[serde(skip)]
-    entity_index: BTreeMap<String, SymSet<Sym>>,
+    entity_index: BTreeMap<String, SymMap<Sym, u32>>,
     /// Dense mirror of `relationships` (aligned per relationship).
     #[serde(skip)]
     rel_syms: BTreeMap<String, Vec<Vec<Sym>>>,
@@ -80,15 +96,12 @@ impl Skeleton {
             self.resync_entity(entity);
         }
         let sym = self.interner.intern(&key);
-        if self
-            .entity_index
-            .entry(entity.to_string())
-            .or_default()
-            .insert(sym)
-        {
+        let index = self.entity_index.entry(entity.to_string()).or_default();
+        if let std::collections::hash_map::Entry::Vacant(slot) = index.entry(sym) {
+            slot.insert(u32::try_from(stored).expect("more than u32::MAX entities"));
             self.entities
-                .entry(entity.to_string())
-                .or_default()
+                .get_mut(entity)
+                .expect("entry created above")
                 .push(key);
             self.entity_syms
                 .entry(entity.to_string())
@@ -159,8 +172,17 @@ impl Skeleton {
     fn resync_entity(&mut self, entity: &str) {
         let keys = self.entities.get(entity).cloned().unwrap_or_default();
         let syms: Vec<Sym> = keys.iter().map(|k| self.interner.intern(k)).collect();
-        self.entity_index
-            .insert(entity.to_string(), syms.iter().copied().collect());
+        let rows = syms
+            .iter()
+            .enumerate()
+            .map(|(row, &sym)| {
+                (
+                    sym,
+                    u32::try_from(row).expect("more than u32::MAX entities"),
+                )
+            })
+            .collect();
+        self.entity_index.insert(entity.to_string(), rows);
         self.entity_syms.insert(entity.to_string(), syms);
     }
 
@@ -203,9 +225,25 @@ impl Skeleton {
 
     /// Whether entity class `entity` contains the interned key `sym`.
     pub fn has_entity_sym(&self, entity: &str, sym: Sym) -> bool {
-        self.entity_index
-            .get(entity)
-            .is_some_and(|s| s.contains(&sym))
+        self.entity_row_sym(entity, sym).is_some()
+    }
+
+    /// The row of `key` in entity class `entity` (its position in
+    /// [`Skeleton::entity_keys`]), if the class contains it.
+    pub fn entity_row(&self, entity: &str, key: &Value) -> Option<usize> {
+        self.entity_row_sym(entity, self.interner.get(key)?)
+    }
+
+    /// The row of the interned key `sym` in entity class `entity`.
+    pub fn entity_row_sym(&self, entity: &str, sym: Sym) -> Option<usize> {
+        self.entity_rows(entity)?.get(&sym).map(|&row| row as usize)
+    }
+
+    /// The whole row index of entity class `entity`: key symbol → row.
+    /// Readers resolve it once per class so each per-unit probe is a
+    /// single symbol hash.
+    pub fn entity_rows(&self, entity: &str) -> Option<&SymMap<Sym, u32>> {
+        self.entity_index.get(entity)
     }
 
     /// All keys of entity class `entity` (empty slice if the class is empty).

@@ -34,6 +34,13 @@ impl Sym {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The symbol with dense index `index`: the inverse of
+    /// [`Sym::index`], for callers that store symbols as plain integers.
+    /// Only meaningful for an index the table actually issued.
+    pub fn from_index(index: usize) -> Sym {
+        Sym(u32::try_from(index).expect("symbol index fits u32"))
+    }
 }
 
 /// An append-only intern table mapping distinct [`Value`]s to dense

@@ -171,8 +171,14 @@ fn grounding_matrix_is_bit_identical_across_threads_and_morsels() {
 
 /// A deliberately skewed workload — the collaboration-join rule carries
 /// ~90% of all grounded rows — still grounds bit-identically, and the
-/// work-stealing scheduler keeps the morsel counts balanced: at 4
-/// configured threads no worker executes more than twice the mean.
+/// work-stealing scheduler spreads skew: replayed with one worker stalled
+/// on an expensive morsel, the other workers steal the rest of its deque,
+/// end within one morsel of each other and run every morsel exactly once.
+///
+/// Which worker executes a morsel in a real run is decided by how the OS
+/// schedules the worker threads, so the balance half runs the scheduler's
+/// own seeding and claiming code through `rayon::replay_schedule`, where
+/// the test fixes the order in which workers ask for morsels.
 #[test]
 fn skewed_workload_is_balanced_and_bit_identical() {
     let _k = hold_knobs();
@@ -226,10 +232,38 @@ fn skewed_workload_is_balanced_and_bit_identical() {
         stats.total_morsels() >= 12,
         "too few morsels to measure balance: {stats:?}"
     );
-    let mean = stats.mean_worker_morsels();
-    let max = stats.max_worker_morsels() as f64;
+
+    // Worker 0 stalls on its first morsel; workers 1–3 keep asking in turn.
+    let (workers, n) = (4, 64);
+    let stalled = rayon::replay_schedule(
+        n,
+        workers,
+        std::iter::once(0).chain((0..3 * n).map(|t| 1 + t % 3)),
+    );
+    let mut ran: Vec<usize> = stalled.executed.concat();
+    ran.sort_unstable();
+    assert_eq!(
+        ran,
+        (0..n).collect::<Vec<_>>(),
+        "every morsel must run exactly once despite the stall: {stalled:?}"
+    );
+    assert_eq!(stalled.executed[0].len(), 1, "{stalled:?}");
+    assert_eq!(
+        stalled.steals.iter().sum::<u64>(),
+        (n / workers - 1) as u64,
+        "the stalled worker's remaining morsels must be stolen: {stalled:?}"
+    );
+    let thieves: Vec<usize> = stalled.executed[1..].iter().map(Vec::len).collect();
     assert!(
-        max <= 2.0 * mean,
-        "worker morsel counts are skewed: max {max} > 2 × mean {mean:.2} ({stats:?})"
+        thieves.iter().max().unwrap() - thieves.iter().min().unwrap() <= 1,
+        "the running workers must share the stalled worker's morsels: {thieves:?}"
+    );
+
+    // Workers asking in turn drain their own deques and steal nothing.
+    let even = rayon::replay_schedule(n, workers, (0..n).map(|t| t % workers));
+    assert_eq!(even.steals, vec![0; workers], "{even:?}");
+    assert!(
+        even.executed.iter().all(|ran| ran.len() == n / workers),
+        "{even:?}"
     );
 }
