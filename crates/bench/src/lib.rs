@@ -1,6 +1,7 @@
 //! `carl-bench` — the experiment harness that regenerates every table and
-//! figure of the CaRL paper's evaluation (Section 6), plus criterion
-//! micro-benchmarks for the runtime-shaped results.
+//! figure of the CaRL paper's evaluation (Section 6). Runtime is measured
+//! by `table2` (the paper's unit-table and query-answering columns) and by
+//! the standalone `carlbench` package at the repository root.
 //!
 //! Each table/figure has a dedicated binary (`table2`, `figure7`, …) that
 //! prints the same rows/series the paper reports and optionally writes a

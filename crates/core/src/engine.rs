@@ -85,9 +85,6 @@ pub enum GroundingMode {
 enum Grounding {
     /// Through the `(rule, fingerprint)` grounding-result cache.
     Cached,
-    /// Bypass the result cache but share the engine's secondary indexes
-    /// (steady-state cold grounding — what benchmarks time).
-    Cold,
     /// Fully fresh: no result cache, no shared indexes (the row-wise
     /// differential path, where a cache bug must not mask itself).
     Fresh,
@@ -639,7 +636,7 @@ impl CarlEngine {
     /// The engine's shared streamed base grounding (the base model is
     /// query-independent, so this is engine-level state exactly like the
     /// secondary indexes: computed lazily once per instance and reused by
-    /// every streamed query, cold or cached).
+    /// every streamed query).
     fn base_streamed(&self) -> CarlResult<Arc<StreamedModel>> {
         let key = (String::new(), self.instance_fingerprint);
         if let Some(CachedGrounding::Handle(GroundedHandle::Streamed(base))) =
@@ -662,22 +659,16 @@ impl CarlEngine {
     }
 
     /// The streamed extension for a query-synthesised aggregate, through
-    /// the result cache unless the policy is `Cold` (which re-streams the
-    /// query-specific work on every call — the steady-state cost the
-    /// `answer_pipeline` benchmark measures).
+    /// the result cache.
     fn extension_for(
         &self,
         base: &Arc<StreamedModel>,
         model: &RelationalCausalModel,
         rule: &AggregateRule,
-        grounding: Grounding,
     ) -> CarlResult<Arc<AggregateExtension>> {
-        let cached = grounding == Grounding::Cached;
         let key = (format!("{rule:?}"), self.instance_fingerprint);
-        if cached {
-            if let Some(CachedGrounding::Extension(ext)) = self.lock_grounding_cache().get(&key) {
-                return Ok(Arc::clone(ext));
-            }
+        if let Some(CachedGrounding::Extension(ext)) = self.lock_grounding_cache().get(&key) {
+            return Ok(Arc::clone(ext));
         }
         let ext = Arc::new(ground_aggregate_extension(
             base,
@@ -686,10 +677,8 @@ impl CarlEngine {
             &self.instance,
             &self.eval_cache,
         )?);
-        if cached {
-            self.lock_grounding_cache()
-                .insert(key, CachedGrounding::Extension(Arc::clone(&ext)));
-        }
+        self.lock_grounding_cache()
+            .insert(key, CachedGrounding::Extension(Arc::clone(&ext)));
         Ok(ext)
     }
 
@@ -723,7 +712,7 @@ impl CarlEngine {
         let base = self.base_streamed()?;
         match synthesized {
             Some(rule) => {
-                let ext = self.extension_for(&base, model, rule, grounding)?;
+                let ext = self.extension_for(&base, model, rule)?;
                 Ok(QueryGrounding::Extended { base, ext })
             }
             None => Ok(QueryGrounding::Full(GroundedHandle::Streamed(base))),
@@ -798,28 +787,7 @@ impl CarlEngine {
     /// Prepare a parsed query: unify, ground (through the grounding cache),
     /// detect covariates and build the columnar unit table.
     pub fn prepare(&self, query: &CausalQuery) -> CarlResult<PreparedQuery> {
-        self.prepare_with(query, Grounding::Cached)
-    }
-
-    /// Prepare a parsed query with cold *query-specific* grounding: the
-    /// grounding-result cache entry for the query's synthesised rule is
-    /// bypassed, so every call re-runs the query's own grounding work on
-    /// the engine's [`GroundingMode`]. Query-independent engine state
-    /// stays warm and shared, exactly as in production: the secondary
-    /// indexes in every mode, and in [`GroundingMode::Streaming`] also the
-    /// shared base-model grounding (the streaming architecture never
-    /// re-grounds the base per query — that is the point of the
-    /// [`AggregateExtension`] design). In `Tuples` mode the whole effective
-    /// model re-grounds on every call.
-    /// This is the steady-state per-query pipeline cost benchmarks
-    /// measure — see the `answer_pipeline` scenario of the
-    /// `grounding_scale` bench.
-    pub fn prepare_cold(&self, query: &CausalQuery) -> CarlResult<PreparedQuery> {
-        self.prepare_with(query, Grounding::Cold)
-    }
-
-    fn prepare_with(&self, query: &CausalQuery, grounding: Grounding) -> CarlResult<PreparedQuery> {
-        let inputs = self.prepare_inputs(query, grounding)?;
+        let inputs = self.prepare_inputs(query, Grounding::Cached)?;
         let treatment_attr = inputs.treatment_attr.as_str();
 
         // 5. Relational peers and covariates. When the response is a

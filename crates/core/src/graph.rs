@@ -19,9 +19,10 @@ use std::sync::OnceLock;
 /// `GroundedAttr` allocates (it owns its attribute name and key), so every
 /// construction on a hot path is a heap hit plus a later re-hash. The
 /// interned-identity work keeps them off the streamed grounding path except
-/// at API boundaries; this counter lets `profile_pipeline` *prove* that —
-/// constructions during a cold streamed ground must stay O(distinct derived
-/// nodes), not O(rows).
+/// at API boundaries; this counter lets a test *prove* that — constructions
+/// during a cold streamed ground must stay O(distinct derived nodes), not
+/// O(rows) (`tests/parallel_grounding.rs`; carlbench also reports it as
+/// `ground.attr_constructions`).
 static GROUNDED_ATTR_CONSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Total `GroundedAttr` constructions since process start (or the last

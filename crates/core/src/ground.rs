@@ -38,14 +38,6 @@ use reldb::{
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// Whether `CARL_PROFILE_GROUND` phase timings are enabled, read once: the
-/// flag sits on a hot path and `std::env::var` takes the process-wide
-/// environment lock on every call.
-fn profile_ground() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var("CARL_PROFILE_GROUND").is_ok())
-}
-
 /// The result of grounding a relational causal model against an instance:
 /// the grounded causal graph plus the derived values of aggregate attributes.
 #[derive(Debug, Clone)]
@@ -1737,7 +1729,6 @@ pub fn ground_streaming(
     // once both phases are done.
     let mut edges: Vec<(u32, u32)> = Vec::new();
 
-    let t0 = std::time::Instant::now();
     // Phase 1: stream-merge the causal rules, in rule order. Dead rules
     // (statically unsatisfiable conditions) pass no row; skip their
     // evaluation entirely.
@@ -1781,7 +1772,6 @@ pub fn ground_streaming(
         )?;
     }
 
-    let t1 = std::time::Instant::now();
     // Phase 2: stream-merge the aggregate rules into dense group tables.
     let mut store = DerivedStore::default();
     for ((agg_idx, agg), prep) in aggregates.iter().zip(prepped[model.rules().len()..].iter()) {
@@ -1861,17 +1851,8 @@ pub fn ground_streaming(
     store.consts = consts.lookup;
     graph.fold_edges(&edges);
 
-    let t2 = std::time::Instant::now();
     if let Err(attr) = graph.topological_order() {
         return Err(CarlError::CyclicModel(attr));
-    }
-    if profile_ground() {
-        eprintln!(
-            "ground_streaming: rules {:.2}ms aggs {:.2}ms topo {:.2}ms",
-            (t1 - t0).as_secs_f64() * 1e3,
-            (t2 - t1).as_secs_f64() * 1e3,
-            t2.elapsed().as_secs_f64() * 1e3
-        );
     }
     Ok(StreamedModel::new(
         graph,

@@ -57,8 +57,7 @@ pub struct SyntheticReviewConfig {
     /// submits papers to venues uniformly at random; larger values
     /// concentrate submissions on the low-numbered venues with
     /// `P(venue v) ∝ 1 / (v + 1)^venue_skew` — at `3.0` and 10 venues,
-    /// venue `v0` receives ~83% of all papers. Used by the skewed
-    /// work-distribution benchmarks.
+    /// venue `v0` receives ~83% of all papers.
     pub venue_skew: f64,
     /// RNG seed.
     pub seed: u64,

@@ -372,7 +372,7 @@ pub fn evaluate_tuples_filtered_chunked<'a>(
 /// only, no indexes, no reordering.
 ///
 /// This is the semantic baseline the planned evaluator is differentially
-/// tested against, and the "naive" side of the grounding-scale benchmark.
+/// tested against.
 pub fn evaluate_naive(
     schema: &RelationalSchema,
     skeleton: &Skeleton,

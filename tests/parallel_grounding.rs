@@ -215,10 +215,22 @@ fn skewed_workload_is_balanced_and_bit_identical() {
     rayon::set_num_threads(4);
     rayon::set_morsel_size(1);
     rayon::reset_scheduler_stats();
+    carl::reset_grounded_attr_constructions();
     let skewed = engine.ground_model_streamed().expect("grounds");
+    let constructions = carl::grounded_attr_constructions();
     let stats = rayon::scheduler_stats();
     rayon::set_num_threads(0);
     rayon::set_morsel_size(0);
+
+    // Interned node identities keep boxed `GroundedAttr`s off the merge:
+    // a cold streamed ground builds about one per distinct derived node,
+    // never one per grounded row (~140k rows here).
+    let nodes = skewed.graph.node_count() as u64;
+    assert!(
+        constructions <= 2 * nodes + 64,
+        "grounded-attr constructions regressed to per-row allocation: \
+         {constructions} for {nodes} nodes"
+    );
 
     assert!(
         canonical(&skewed, engine.instance()) == baseline,

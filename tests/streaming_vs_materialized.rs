@@ -291,7 +291,9 @@ fn extension_sources_that_are_base_aggregate_heads_keep_peer_reachability() {
 /// Streamed results are bit-identical at any worker-thread count and any
 /// morsel size (the acceptance bar: `RAYON_NUM_THREADS` ∈ {1, 2, 4, 8} ×
 /// morsel ∈ {1, 7, 1024, huge}), both for the full streamed grounding and
-/// for the end-to-end prepared unit table. Knobs are varied via
+/// for the end-to-end prepared unit table. Each unit-table cell prepares on
+/// a fresh engine, so the shared base grounding and the query's extension
+/// both run under that cell's knobs. Knobs are varied via
 /// `rayon::set_num_threads` / `rayon::set_morsel_size` (the env vars are
 /// read once per process and mutating them would race concurrent tests).
 #[test]
@@ -304,13 +306,13 @@ fn streamed_pipeline_is_bit_identical_across_thread_counts() {
         ..SyntheticReviewConfig::small(7)
     });
     let query = "Score[P] <= Prestige[A]? WHERE SubmittedTo(P, V), DoubleBlind[V] = false";
-    let engine = CarlEngine::new(ds.instance, &ds.rules).expect("model binds");
+    let query = carl::carl_lang::parse_query(query).expect("query parses");
 
     let table_bits = |threads: usize, morsel: usize| {
         rayon::set_num_threads(threads);
         rayon::set_morsel_size(morsel);
-        let query = carl::carl_lang::parse_query(query).expect("query parses");
-        let prepared = engine.prepare_cold(&query).expect("prepares");
+        let engine = CarlEngine::new(ds.instance.clone(), &ds.rules).expect("model binds");
+        let prepared = engine.prepare(&query).expect("prepares");
         rayon::set_num_threads(0);
         rayon::set_morsel_size(0);
         let ut = &prepared.unit_table;
@@ -337,6 +339,7 @@ fn streamed_pipeline_is_bit_identical_across_thread_counts() {
         );
     }
 
+    let engine = CarlEngine::new(ds.instance, &ds.rules).expect("model binds");
     let ground_shape = |threads: usize, morsel: usize| {
         rayon::set_num_threads(threads);
         rayon::set_morsel_size(morsel);
