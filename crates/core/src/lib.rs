@@ -91,7 +91,7 @@ pub use history::{check_history, digest_answer, HistoryEvent, HistoryLog, Violat
 pub use model::RelationalCausalModel;
 pub use query::{bootstrap_ate, CateStratifier};
 pub use service::{handle_request, serve};
-pub use snapshot::{CommitMode, CommitStats, EngineSnapshot, SnapshotEngine};
+pub use snapshot::{CommitStats, EngineSnapshot, SnapshotEngine};
 pub use unit_table::{FloatColumn, NullBitmap, UnitTable};
 
 // Re-export the substrate crates so downstream users need only depend on `carl`.

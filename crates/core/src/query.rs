@@ -525,7 +525,6 @@ mod tests {
         let units: Vec<UnitKey> = instance
             .skeleton()
             .entity_keys("Person")
-            .iter()
             .map(|k| vec![k.clone()])
             .collect();
         let peers = compute_peers(&grounded, "Famous", "Outcome", &units);
@@ -730,7 +729,6 @@ mod tests {
         let units: Vec<UnitKey> = instance
             .skeleton()
             .entity_keys("Patient")
-            .iter()
             .map(|k| vec![k.clone()])
             .collect();
         let peers = compute_peers(&grounded, "SelfPay", "Death", &units);

@@ -6,8 +6,8 @@
 //! covariates addressed by unit row index, contiguous `f64` columns,
 //! zero-copy slices into the estimators. This module preserves the seed's
 //! semantics with none of that machinery — peers in a
-//! `HashMap<UnitKey, Vec<UnitKey>>` ([`compute_peers_rowwise`],
-//! [`compute_peers_streamed_rowwise`]), covariates in per-unit
+//! `HashMap<UnitKey, Vec<UnitKey>>` ([`compute_peers_rowwise`]),
+//! covariates in per-unit
 //! `String`-keyed maps ([`covariates_rowwise`]), a [`reldb::Table`] of
 //! [`Value`]s built row by row, per-row feature extraction, matrices
 //! assembled from row vectors — so that `tests/columnar_vs_rowwise.rs` and
@@ -25,7 +25,7 @@ use crate::embed::EmbeddingKind;
 use crate::error::{CarlError, CarlResult};
 use crate::estimate::{AteAnswer, EstimatorKind, PeerEffectAnswer};
 use crate::graph::GroundedAttr;
-use crate::ground::{AggregateExtension, GroundedModel, GroundedValues, StreamedModel};
+use crate::ground::{GroundedModel, GroundedValues};
 use crate::model::RelationalCausalModel;
 use crate::query::regime_fraction;
 use crate::unit_table::render_unit;
@@ -98,91 +98,6 @@ pub fn compute_peers_rowwise<G: GroundedValues>(
     }
 
     // Materialise unit keys and sort for deterministic, reproducible order.
-    units
-        .iter()
-        .zip(peer_idx)
-        .map(|(unit, idx)| {
-            let mut list: Vec<UnitKey> = idx.into_iter().map(|pi| units[pi].clone()).collect();
-            list.sort();
-            (unit.clone(), list)
-        })
-        .collect()
-}
-
-/// The reference form of [`crate::peers::compute_peers_streamed`]: relational
-/// peers, keyed by unit, when the response is a query-synthesised
-/// aggregate streamed as an [`AggregateExtension`] over a shared base
-/// grounding.
-///
-/// In a materialised grounding the aggregate's vertices `Y[x]` would be
-/// leaves whose only in-edges come from their group's source groundings, so
-/// "a directed path `T[p] → … → Y[x]` exists" is equivalent to "the
-/// descendant walk of `T[p]` in the *base* graph touches one of `x`'s group
-/// sources". This walks exactly that, producing a peer map bit-identical to
-/// running [`compute_peers_rowwise`] over the fully materialised grounding (pinned
-/// by the streaming differential suite).
-pub fn compute_peers_streamed_rowwise(
-    base: &StreamedModel,
-    ext: &AggregateExtension,
-    treatment_attr: &str,
-    units: &[UnitKey],
-    instance: &Instance,
-) -> RowPeerMap {
-    let graph = &base.graph;
-    let interner = instance.skeleton().interner();
-    let n = graph.node_count();
-
-    // Source node id → indexes of the units whose (virtual) response group
-    // it feeds. A source can feed several groups.
-    let mut feeds: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (ui, unit) in units.iter().enumerate() {
-        if let Some(group) = ext.group_of_key(interner, unit) {
-            for &sid in ext.sources_of(group) {
-                feeds[sid.index()].push(u32::try_from(ui).expect("unit count fits u32"));
-            }
-        }
-    }
-
-    // Epoch-stamped DFS per unit, as in `compute_peers`; response hits are
-    // deduplicated per unit with a second stamp array (a group has several
-    // sources, but `x` must become a peer of `p` only once).
-    let mut peer_idx: Vec<Vec<usize>> = vec![Vec::new(); units.len()];
-    let mut stamps: Vec<u32> = vec![0; n];
-    let mut unit_stamps: Vec<u32> = vec![0; units.len()];
-    let mut stack: Vec<usize> = Vec::new();
-    for (pi, p) in units.iter().enumerate() {
-        // Interned probe through the base's node table — no `GroundedAttr`
-        // construction or fingerprint hash per unit.
-        let Some(tid) = base.node_of(treatment_attr, p) else {
-            continue;
-        };
-        let epoch = u32::try_from(pi).expect("more than u32::MAX units") + 1;
-        let mark = |node: usize, unit_stamps: &mut Vec<u32>, peer_idx: &mut Vec<Vec<usize>>| {
-            for &ui in &feeds[node] {
-                let ui = ui as usize;
-                if ui != pi && unit_stamps[ui] != epoch {
-                    unit_stamps[ui] = epoch;
-                    peer_idx[ui].push(pi);
-                }
-            }
-        };
-        stamps[tid] = epoch;
-        // The start node may itself be a source (a materialised grounding
-        // would have the aggregate vertex as its direct child).
-        mark(tid, &mut unit_stamps, &mut peer_idx);
-        stack.push(tid);
-        while let Some(node) = stack.pop() {
-            for &child in graph.children_of(node) {
-                if stamps[child] == epoch {
-                    continue;
-                }
-                stamps[child] = epoch;
-                stack.push(child);
-                mark(child, &mut unit_stamps, &mut peer_idx);
-            }
-        }
-    }
-
     units
         .iter()
         .zip(peer_idx)

@@ -47,9 +47,7 @@
 //! re-ground — `crate::history::check_history` re-validates recorded runs
 //! against cold re-grounds bit for bit, making the harness the
 //! differential oracle for the fast path. [`SnapshotEngine::commit_stats`]
-//! reports which path commits actually took, and
-//! [`SnapshotEngine::set_commit_mode`] can force [`CommitMode::Cold`] for
-//! benchmarking or bisection.
+//! reports which path commits actually took.
 //!
 //! The [`crate::history`] module records installs and query observations
 //! from such a service and re-validates them offline against cold
@@ -93,27 +91,13 @@ use reldb::{Instance, Mutation};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-/// How [`SnapshotEngine::commit`] builds the next epoch's engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CommitMode {
-    /// Patch the previous epoch's engine when the delta allows it
-    /// ([`CarlEngine::can_patch`]), falling back to a cold rebuild
-    /// otherwise (default).
-    #[default]
-    Incremental,
-    /// Always rebuild cold (the PR 7 behaviour) — for benchmarking the
-    /// fast path against its baseline and for bisecting suspected
-    /// incremental-maintenance bugs.
-    Cold,
-}
-
 /// How many commits each path served (see [`SnapshotEngine::commit_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommitStats {
     /// Commits that patched the previous epoch's engine.
     pub incremental: u64,
     /// Commits that rebuilt the engine cold (structural or otherwise
-    /// unpatchable deltas, or [`CommitMode::Cold`]).
+    /// unpatchable deltas).
     pub cold: u64,
 }
 
@@ -167,8 +151,6 @@ pub struct SnapshotEngine {
     /// Serialises writers so epochs install in commit order. Readers never
     /// touch this lock.
     writer: Mutex<()>,
-    /// Whether commits may take the incremental fast path.
-    commit_mode: Mutex<CommitMode>,
     /// Fast-path commits served so far.
     incremental_commits: AtomicU64,
     /// Cold-rebuild commits served so far.
@@ -190,7 +172,6 @@ impl SnapshotEngine {
             current: RwLock::new(Arc::new(EngineSnapshot { epoch: 0, engine })),
             program,
             writer: Mutex::new(()),
-            commit_mode: Mutex::new(CommitMode::default()),
             incremental_commits: AtomicU64::new(0),
             cold_commits: AtomicU64::new(0),
         })
@@ -199,23 +180,6 @@ impl SnapshotEngine {
     /// The program every epoch's engine is built from.
     pub fn program(&self) -> &Program {
         &self.program
-    }
-
-    /// The current [`CommitMode`].
-    pub fn commit_mode(&self) -> CommitMode {
-        *self
-            .commit_mode
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Switch how commits build epochs (takes effect for the next commit;
-    /// commits in flight finish under the mode they started with).
-    pub fn set_commit_mode(&self, mode: CommitMode) {
-        *self
-            .commit_mode
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = mode;
     }
 
     /// How many commits took the incremental fast path vs a cold rebuild.
@@ -259,14 +223,13 @@ impl SnapshotEngine {
         // engine (patched or cold) — happens outside the read/write lock,
         // on the writer's thread only.
         let (next_instance, delta) = base.instance().apply_with_delta(mutations)?;
-        let engine =
-            if self.commit_mode() == CommitMode::Incremental && base.engine().can_patch(&delta) {
-                self.incremental_commits.fetch_add(1, Ordering::Relaxed);
-                base.engine().patched_next(next_instance, &delta)?
-            } else {
-                self.cold_commits.fetch_add(1, Ordering::Relaxed);
-                CarlEngine::with_program(next_instance, self.program.clone())?
-            };
+        let engine = if base.engine().can_patch(&delta) {
+            self.incremental_commits.fetch_add(1, Ordering::Relaxed);
+            base.engine().patched_next(next_instance, &delta)?
+        } else {
+            self.cold_commits.fetch_add(1, Ordering::Relaxed);
+            CarlEngine::with_program(next_instance, self.program.clone())?
+        };
         let next = Arc::new(EngineSnapshot {
             epoch: base.epoch() + 1,
             engine,
@@ -478,8 +441,9 @@ mod tests {
             crate::history::digest_answer(&slow)
         );
 
-        // A structural commit falls back to the cold path.
-        service
+        // A structural commit falls back to the cold path, and its epoch
+        // answers bit-identically to an engine built from scratch.
+        let snap = service
             .commit(&[Mutation::InsertEntity {
                 entity: "Person".into(),
                 key: Value::from("Dana"),
@@ -487,18 +451,14 @@ mod tests {
             .unwrap();
         let stats = service.commit_stats();
         assert_eq!((stats.incremental, stats.cold), (1, 1));
-
-        // Forcing Cold mode disables the fast path entirely.
-        service.set_commit_mode(CommitMode::Cold);
-        service
-            .commit(&[Mutation::SetAttribute {
-                attr: "Score".into(),
-                key: vec![Value::from("s2")],
-                value: Value::Float(0.5),
-            }])
-            .unwrap();
-        let stats = service.commit_stats();
-        assert_eq!((stats.incremental, stats.cold), (1, 2));
+        let cold =
+            CarlEngine::with_program(snap.instance().clone(), service.program().clone()).unwrap();
+        assert_eq!(
+            crate::history::digest_answer(
+                &snap.engine().answer_str("AVG_Score[A] <= Prestige[A]?")
+            ),
+            crate::history::digest_answer(&cold.answer_str("AVG_Score[A] <= Prestige[A]?"))
+        );
     }
 
     #[test]

@@ -53,12 +53,6 @@ pub struct SyntheticReviewConfig {
     pub relational_effect: f64,
     /// Observation noise on scores.
     pub noise: f64,
-    /// Power-law exponent for venue popularity. `0.0` (the default)
-    /// submits papers to venues uniformly at random; larger values
-    /// concentrate submissions on the low-numbered venues with
-    /// `P(venue v) ∝ 1 / (v + 1)^venue_skew` — at `3.0` and 10 venues,
-    /// venue `v0` receives ~83% of all papers.
-    pub venue_skew: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -77,7 +71,6 @@ impl SyntheticReviewConfig {
             isolated_double_blind: 0.0,
             relational_effect: 0.5,
             noise: 0.25,
-            venue_skew: 0.0,
             seed,
         }
     }
@@ -109,13 +102,6 @@ impl SyntheticReviewConfig {
     /// The first variant of §6.1: no relational effect.
     pub fn without_relational_effect(mut self) -> Self {
         self.relational_effect = 0.0;
-        self
-    }
-
-    /// Concentrate submissions on the low-numbered venues with the given
-    /// power-law exponent (see [`Self::venue_skew`]).
-    pub fn with_venue_skew(mut self, exponent: f64) -> Self {
-        self.venue_skew = exponent;
         self
     }
 }
@@ -238,35 +224,14 @@ pub fn generate_synthetic_review(config: &SyntheticReviewConfig) -> Dataset {
         added += 1;
     }
 
-    // Papers: one writing author each, venue chosen at random — uniformly,
-    // or power-law-weighted towards low-numbered venues when `venue_skew`
-    // is set (the uniform path keeps the exact RNG draw sequence of
-    // earlier generator versions, so existing seeds stay bit-identical).
-    let venue_cdf: Vec<f64> = if config.venue_skew > 0.0 {
-        let mut acc = 0.0;
-        (0..config.venues)
-            .map(|v| {
-                acc += ((v + 1) as f64).powf(-config.venue_skew);
-                acc
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
+    // Papers: one writing author each, venue chosen uniformly at random.
     for p in 0..config.papers {
         let key = Value::from(format!("p{p}"));
         instance
             .add_entity("Paper", key.clone())
             .expect("schema admits Paper");
         let author = rng.gen_range(0..config.authors);
-        let venue = if let Some(&total) = venue_cdf.last() {
-            let draw = rng.gen::<f64>() * total;
-            venue_cdf
-                .partition_point(|&c| c <= draw)
-                .min(config.venues - 1)
-        } else {
-            rng.gen_range(0..config.venues)
-        };
+        let venue = rng.gen_range(0..config.venues);
         instance
             .add_relationship(
                 "Writes",
@@ -390,49 +355,6 @@ mod tests {
         assert_eq!(c.papers, 7500);
         let tiny = SyntheticReviewConfig::scaled(0.0001, 5);
         assert!(tiny.authors >= 50);
-    }
-
-    #[test]
-    fn venue_skew_concentrates_submissions() {
-        let config = SyntheticReviewConfig {
-            authors: 100,
-            institutions: 8,
-            papers: 2_000,
-            venues: 10,
-            ..SyntheticReviewConfig::small(5)
-        }
-        .with_venue_skew(3.0);
-        let ds = generate_synthetic_review(&config);
-        let sk = ds.instance.skeleton();
-        // P(v0) = 1 / H ≈ 0.83 for exponent 3 over 10 venues: the hot
-        // venue dominates, the tail is thin.
-        let hot = Value::from("v0");
-        let hot_count = sk
-            .relationship_tuples("SubmittedTo")
-            .iter()
-            .filter(|t| t[1] == hot)
-            .count();
-        let share = hot_count as f64 / config.papers as f64;
-        assert!(
-            share > 0.75,
-            "expected a dominant hot venue, got share {share:.2}"
-        );
-        // The uniform path is untouched: skew 0 spreads papers evenly.
-        let uniform = generate_synthetic_review(&SyntheticReviewConfig {
-            venue_skew: 0.0,
-            ..config.clone()
-        });
-        let hot_uniform = uniform
-            .instance
-            .skeleton()
-            .relationship_tuples("SubmittedTo")
-            .iter()
-            .filter(|t| t[1] == hot)
-            .count();
-        assert!(
-            hot_uniform < config.papers / 4,
-            "uniform venues stayed uniform"
-        );
     }
 
     #[test]

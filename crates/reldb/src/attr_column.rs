@@ -4,12 +4,14 @@
 //! the copy-on-write unit of an epoch:
 //!
 //! * an attribute of an **entity** class is a column aligned to the class's
-//!   rows in [`Skeleton::entity_keys`]: one `Value` per row plus a presence
-//!   bitmap. Entity rows are append-only, so a row's cell never moves;
+//!   rows ([`Skeleton::entity_syms`], the key symbols in row order): one
+//!   attribute `Value` per row plus a presence bitmap. Entity rows are
+//!   append-only, so a row's cell never moves;
 //! * an attribute of a **relationship** is a map from its tuple's interned
 //!   symbols to the value (tuple rows shift on deletion, symbols do not).
 //!
-//! Neither form keys anything on heap `Value`s. The one exception is
+//! Neither form keys anything on heap `Value`s, and keys are read back
+//! from the skeleton's interner. The one exception is
 //! *orphan* cells: [`crate::Instance::set_attribute`] accepts a key that is
 //! not (yet) a unit of the subject class, and such a cell stays readable by
 //! key from an ordered side map until its unit is added to the skeleton, at
@@ -258,13 +260,13 @@ impl AttrColumn {
     ) -> impl Iterator<Item = (Cow<'a, [Value]>, &'a Value)> + 'a {
         let keys = self
             .entity()
-            .map_or(&[][..], |class| skeleton.entity_keys(class));
+            .map_or(&[][..], |class| skeleton.entity_syms(class));
         let interner = skeleton.interner();
         let rows = (0..self.values.len())
             .filter(|&row| self.is_present(row))
             .map(move |row| {
                 (
-                    Cow::Borrowed(std::slice::from_ref(&keys[row])),
+                    Cow::Borrowed(std::slice::from_ref(interner.value(keys[row]))),
                     &self.values[row],
                 )
             });

@@ -16,7 +16,7 @@
 //! register tuples of interned [`Sym`]bols (one `u32` per variable slot,
 //! see [`Skeleton::interner`]) carried through scan/probe/check steps with
 //! zero per-row maps and zero heap values; matching is integer comparison
-//! against the skeleton's dense mirrors and the [`IndexCache`]'s
+//! against the skeleton's symbol rows and the [`IndexCache`]'s
 //! symbol-keyed composite indexes. Results surface as [`TupleAnswers`];
 //! the classic `Vec<Bindings>` form is produced only at the API boundary.
 //! When a step carries enough rows, the executor splits them into
@@ -25,10 +25,10 @@
 //! order so results are bit-identical at any thread count.
 //!
 //! The final join step can also be *streamed*:
-//! [`evaluate_tuples_chunked`] / [`evaluate_tuples_filtered_chunked`]
-//! deliver its output to a sink as order-preserving [`TupleAnswers`]
-//! chunks without ever materialising the full answer set — the
-//! pipelined-execution entry point the grounding layer folds rows through.
+//! [`evaluate_tuples_filtered_chunked`] delivers its output to a sink as
+//! order-preserving [`TupleAnswers`] chunks without ever materialising the
+//! full answer set — the pipelined-execution entry point the grounding
+//! layer folds rows through.
 //!
 //! The materialising entry points ([`evaluate_tuples`] and friends) run
 //! the same streamed executor and collect its chunks, so there is one
@@ -40,7 +40,7 @@
 //! on every query, which the differential fuzzer in
 //! `tests/eval_reference.rs` enforces.
 
-use crate::error::{RelError, RelResult};
+use crate::error::RelResult;
 use crate::index::IndexCache;
 use crate::instance::Instance;
 use crate::plan::{
@@ -49,7 +49,7 @@ use crate::plan::{
 };
 use crate::query::{ConjunctiveQuery, Term};
 use crate::schema::{PredicateKind, RelationalSchema};
-use crate::skeleton::Skeleton;
+use crate::skeleton::{Skeleton, UnitKey};
 use crate::symbols::{Sym, SymSet, SymbolTable};
 use crate::value::Value;
 use rayon::prelude::*;
@@ -314,39 +314,22 @@ pub fn evaluate_tuples_filtered<'a>(
     ))
 }
 
-/// Streaming evaluation: run the plan and hand the final join step's output
-/// to `on_batch` as order-preserving [`TupleAnswers`] chunks instead of one
-/// materialised answer set.
+/// Streaming filtered evaluation over a full instance: run the plan and
+/// hand the final join step's output to `on_batch` as order-preserving
+/// [`TupleAnswers`] chunks instead of one materialised answer set (the
+/// sink-based form of [`evaluate_tuples_filtered`]).
 ///
-/// The sink sees exactly the rows `evaluate_tuples` would return, in exactly
-/// the same order; only the chunk boundaries are an executor detail
-/// (fixed-size input blocks when sequential, per-worker blocks computed in
-/// bounded waves when the final step runs parallel — at most one wave's
-/// output is ever resident). A sink that folds rows in order therefore
-/// produces results that are bit-identical to folding the materialised
-/// answers — at any `RAYON_NUM_THREADS`. Queries with answers too small to
-/// chunk arrive as a single batch; queries with no answers deliver no
-/// batches at all.
+/// The sink sees exactly the rows `evaluate_tuples_filtered` would return,
+/// in exactly the same order; only the chunk boundaries are an executor
+/// detail (fixed-size input blocks when sequential, per-worker blocks
+/// computed in bounded waves when the final step runs parallel — at most
+/// one wave's output is ever resident). A sink that folds rows in order
+/// therefore produces results that are bit-identical to folding the
+/// materialised answers — at any `RAYON_NUM_THREADS`. Queries with answers
+/// too small to chunk arrive as a single batch; queries with no answers
+/// deliver no batches at all.
 ///
 /// Errors from the sink abort the evaluation and are returned as-is.
-pub fn evaluate_tuples_chunked<'a>(
-    cache: &IndexCache,
-    schema: &RelationalSchema,
-    skeleton: &'a Skeleton,
-    query: &ConjunctiveQuery,
-    on_batch: &mut dyn FnMut(&TupleAnswers<'a>) -> RelResult<()>,
-) -> RelResult<()> {
-    let plan = plan_shaped(cache, schema, skeleton, query)?;
-    debug_assert_plan(schema, &plan);
-    let interner = skeleton.interner();
-    execute_tuples_stream(&plan, schema, skeleton, None, cache, &mut |rows| {
-        on_batch(&answers(&plan, interner, rows))
-    })
-}
-
-/// Streaming filtered evaluation over a full instance (the sink-based form
-/// of [`evaluate_tuples_filtered`]; see [`evaluate_tuples_chunked`] for the
-/// delivery contract).
 pub fn evaluate_tuples_filtered_chunked<'a>(
     cache: &IndexCache,
     schema: &RelationalSchema,
@@ -383,6 +366,8 @@ pub fn evaluate_naive(
     crate::plan::validate(schema, query)?;
     let mut partials: Vec<Bindings> = vec![Bindings::new()];
     for atom in &query.atoms {
+        // Resolved to values once per atom, not once per partial binding.
+        let tuples: Vec<UnitKey> = skeleton.relationship_tuples(&atom.predicate).collect();
         let mut next: Vec<Bindings> = Vec::new();
         for binding in &partials {
             match schema.predicate_kind(&atom.predicate) {
@@ -394,7 +379,7 @@ pub fn evaluate_naive(
                     }
                 }
                 Some(PredicateKind::Relationship) => {
-                    for tuple in skeleton.relationship_tuples(&atom.predicate) {
+                    for tuple in &tuples {
                         if let Some(ext) = unify(binding, &atom.terms, tuple) {
                             next.push(ext);
                         }
@@ -406,48 +391,6 @@ pub fn evaluate_naive(
         partials = next;
     }
     Ok(partials)
-}
-
-/// Evaluate the query and project the answers onto `vars` (in order),
-/// deduplicating projected rows (by value equality, on interned symbols —
-/// no per-row key strings).
-pub fn evaluate_project(
-    schema: &RelationalSchema,
-    skeleton: &Skeleton,
-    query: &ConjunctiveQuery,
-    vars: &[String],
-) -> RelResult<Vec<Vec<Value>>> {
-    let cache = IndexCache::with_fingerprint(0);
-    let answers = evaluate_tuples(&cache, schema, skeleton, query)?;
-    // An unbound projection variable only errors when there is an answer to
-    // project — the behaviour per-answer projection always had.
-    if answers.is_empty() {
-        return Ok(Vec::new());
-    }
-    let slots: Vec<usize> = vars
-        .iter()
-        .map(|v| {
-            answers.slot_of(v).ok_or_else(|| {
-                RelError::MalformedQuery(format!(
-                    "projection variable not bound by query: {vars:?}"
-                ))
-            })
-        })
-        .collect::<RelResult<_>>()?;
-    let mut seen: SymSet<Vec<Sym>> = SymSet::default();
-    let mut rows = Vec::new();
-    for row in answers.rows() {
-        let key: Vec<Sym> = slots.iter().map(|&s| row[s]).collect();
-        if seen.insert(key) {
-            rows.push(
-                slots
-                    .iter()
-                    .map(|&s| answers.value(row[s]).clone())
-                    .collect(),
-            );
-        }
-    }
-    Ok(rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -679,7 +622,6 @@ fn resolve_step<'s>(
             skeleton
                 .relationship_syms(&step.atom.predicate)
                 .iter()
-                .map(Vec::as_slice)
                 // Arity-violating tuples (possible via the raw
                 // `Skeleton` API) can never unify; drop them before
                 // the semi-join passes index into them.
@@ -917,7 +859,7 @@ fn run_step_range(
                     .map(Vec::as_slice)
                     .unwrap_or(&[]);
                 for &row_id in hits {
-                    let tuple = rel_tuples[row_id as usize].as_slice();
+                    let tuple = rel_tuples.row(row_id as usize);
                     if try_extend(&mut out, base, layout, consts, tuple) {
                         produced += 1;
                     }
@@ -929,7 +871,7 @@ fn run_step_range(
                     .map(|&p| resolve_slot(layout[p], consts[p], base))
                     .collect();
                 for &row_id in index.rows(&key) {
-                    let tuple = rel_tuples[row_id as usize].as_slice();
+                    let tuple = rel_tuples.row(row_id as usize);
                     if try_extend(&mut out, base, layout, consts, tuple) {
                         produced += 1;
                     }
@@ -1071,6 +1013,7 @@ fn unify(binding: &Bindings, terms: &[Term], tuple: &[Value]) -> Option<Bindings
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::RelError;
     use crate::instance::Instance;
     use crate::query::{Atom, ConjunctiveQuery, Term};
 
@@ -1218,17 +1161,6 @@ mod tests {
     }
 
     #[test]
-    fn projection_deduplicates() {
-        let (schema, sk) = setup();
-        let q = ConjunctiveQuery::new(vec![
-            Atom::new("Author", vec![Term::var("A"), Term::var("S")]),
-            Atom::new("Author", vec![Term::var("B"), Term::var("S")]),
-        ]);
-        let rows = evaluate_project(&schema, &sk, &q, &["A".to_string()]).unwrap();
-        assert_eq!(rows.len(), 3);
-    }
-
-    #[test]
     fn unknown_predicate_and_bad_arity_error() {
         let (schema, sk) = setup();
         let q = ConjunctiveQuery::new(vec![Atom::new("Nope", vec![Term::var("X")])]);
@@ -1249,14 +1181,6 @@ mod tests {
             evaluate_naive(&schema, &sk, &q),
             Err(RelError::ArityMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn unbound_projection_variable_errors() {
-        let (schema, sk) = setup();
-        let q = ConjunctiveQuery::new(vec![Atom::new("Person", vec![Term::var("A")])]);
-        let err = evaluate_project(&schema, &sk, &q, &["Z".to_string()]).unwrap_err();
-        assert!(matches!(err, RelError::MalformedQuery(_)));
     }
 
     /// Collect a streamed evaluation back into (bindings, batch count) so

@@ -1,12 +1,13 @@
 //! Lazily built, cached secondary hash indexes over skeletons and
 //! attribute tables.
 //!
-//! The skeleton maintains single-position indexes eagerly (they are cheap
-//! and universally useful). Everything beyond that — composite indexes over
-//! several key positions at once, and equality indexes over attribute
-//! assignments — is built on demand by an [`IndexCache`] the first time a
-//! query plan probes it, then reused by every later query over the same
-//! instance.
+//! The skeleton maintains its single-position indexes eagerly (they are
+//! cheap, universally useful, and answer its own membership tests).
+//! Everything beyond that — composite indexes over several key positions
+//! at once, built from the skeleton's symbol rows, and equality indexes
+//! over attribute assignments — is built on demand by an [`IndexCache`]
+//! the first time a query plan probes it, then reused by every later query
+//! over the same instance.
 //!
 //! Invalidation is by content fingerprint: a cache remembers the
 //! [`Skeleton::fingerprint`] / [`Instance::fingerprint`] it was built
@@ -29,9 +30,9 @@ use std::sync::{Arc, Mutex};
 /// `positions` is sorted and deduplicated; bucket keys are the tuple
 /// symbols at those positions, in the same order (see
 /// [`Skeleton::interner`]) — probing hashes a handful of `u32`s instead of
-/// heap values. Buckets store row indexes into
-/// [`Skeleton::relationship_tuples`], in insertion order, so probe results
-/// are deterministic.
+/// heap values. Buckets store row indexes into the relationship's symbol
+/// rows ([`Skeleton::relationship_syms`]), in insertion order, so probe
+/// results are deterministic.
 #[derive(Debug)]
 pub struct CompositeIndex {
     positions: Vec<usize>,
@@ -357,7 +358,10 @@ mod tests {
         let rows = idx.rows(&[sym(Value::from("Eva")), sym(Value::from("s2"))]);
         assert_eq!(rows.len(), 1);
         assert_eq!(
-            inst.skeleton().relationship_tuples("Author")[rows[0] as usize],
+            inst.skeleton()
+                .relationship_tuples("Author")
+                .nth(rows[0] as usize)
+                .unwrap(),
             vec![Value::from("Eva"), Value::from("s2")]
         );
         assert!(idx

@@ -1,5 +1,10 @@
 //! Observed relational instances: a skeleton plus attribute assignments
 //! (Section 3.1).
+//!
+//! The skeleton holds every entity key and relationship tuple once, as
+//! symbols of its interner (see [`crate::skeleton`]); attribute columns
+//! address those keys by entity row or tuple symbols, so an instance keeps
+//! no second copy of a key as a `Value`.
 
 use crate::attr_column::{component_hash, key_hash, AttrColumn, AttrReader, CellAddr};
 use crate::error::{RelError, RelResult};
@@ -219,8 +224,9 @@ impl DeltaSet {
 /// hashed `UnitKey`s (see [`crate::attr_column`]):
 ///
 /// * an attribute of an entity class is a column aligned to that class's
-///   rows in [`Skeleton::entity_keys`] — the `Value` of each row plus a
-///   presence bitmap. Entity rows are append-only, so cells never shift;
+///   rows ([`Skeleton::entity_syms`]) — the attribute `Value` of each row
+///   plus a presence bitmap. Entity rows are append-only, so cells never
+///   shift;
 /// * an attribute of a relationship (e.g. MIMIC's `Dose[D, P]`) keys each
 ///   cell by its tuple's interned symbols.
 ///

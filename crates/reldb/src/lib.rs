@@ -73,9 +73,8 @@ pub use aggregate::{group_by, AggFn};
 pub use attr_column::AttrReader;
 pub use error::{RelError, RelResult};
 pub use eval::{
-    evaluate, evaluate_filtered, evaluate_in, evaluate_naive, evaluate_project, evaluate_tuples,
-    evaluate_tuples_chunked, evaluate_tuples_filtered, evaluate_tuples_filtered_chunked, Bindings,
-    TupleAnswers,
+    evaluate, evaluate_filtered, evaluate_in, evaluate_naive, evaluate_tuples,
+    evaluate_tuples_filtered, evaluate_tuples_filtered_chunked, Bindings, TupleAnswers,
 };
 pub use index::{IndexCache, IndexCacheStats, PlanCacheStats};
 pub use instance::{DeltaOp, DeltaSet, Instance, Mutation};
@@ -87,7 +86,7 @@ pub use query::{Atom, ConjunctiveQuery, Term};
 pub use schema::{
     AttributeDef, DomainType, EntityDef, PredicateKind, RelationalSchema, RelationshipDef,
 };
-pub use skeleton::{Skeleton, UnitKey};
+pub use skeleton::{RelRows, Skeleton, UnitKey};
 pub use symbols::{Sym, SymbolTable};
 pub use table::{Column, Table};
 pub use universal::universal_table;

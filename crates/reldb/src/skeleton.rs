@@ -5,24 +5,35 @@
 //! grounded attribute functions. Grounding relational causal rules (Def 3.5)
 //! and constructing relational paths (§4.3) only consult the skeleton.
 //!
-//! Every entity key and relationship-tuple component is interned into a
-//! [`SymbolTable`] the moment it is added: alongside the canonical `Value`
-//! storage the skeleton maintains *dense mirrors* (`Vec<Sym>` per entity
-//! class, `Vec<Vec<Sym>>` per relationship) and keys its positional indexes
-//! and duplicate-detection sets on 4-byte symbols instead of heap values.
-//! The tuple executor in [`crate::eval`] runs entirely over these mirrors.
+//! The skeleton holds one copy of its content, as symbols. Every entity key
+//! and relationship-tuple component is interned into a [`SymbolTable`] the
+//! moment it is added, and that table is the only holder of `Value`s. Each
+//! predicate has one record, keyed once by name:
+//!
+//! * an entity class is its key symbols in row order plus the key → row
+//!   index (the class's one membership index);
+//! * a relationship is its tuples as rows of one flat symbol array with row
+//!   offsets, plus one positional index (symbol → rows) per position.
+//!   Membership and duplicate detection probe the shortest posting list of
+//!   the tuple's symbols and compare row slices, so no tuple is stored
+//!   twice.
+//!
+//! The tuple executor in [`crate::eval`] runs on these rows. `Value`s are
+//! resolved only at the API edges ([`Skeleton::entity_keys`],
+//! [`Skeleton::relationship_tuples`], [`Skeleton::units_of`]), as the
+//! interner's representatives: a key added as `Float(2.0)` after an equal
+//! `Int(2)` was interned reads back as `Int(2)`.
 //!
 //! Entity rows are append-only: the key at row `r` of a class never moves,
 //! so the instance's attribute columns (see [`crate::Instance`]) align to
-//! these rows, and each class's one membership index maps a key symbol to
-//! its row.
+//! these rows.
 
 use crate::error::{RelError, RelResult};
 use crate::schema::{PredicateKind, RelationalSchema};
-use crate::symbols::{Sym, SymMap, SymSet, SymbolTable};
+use crate::symbols::{Sym, SymMap, SymbolTable};
 use crate::value::{fnv1a, Value, FNV_OFFSET};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// The key of a grounded unit: a tuple of entity keys.
 ///
@@ -32,8 +43,7 @@ use std::collections::{BTreeMap, HashMap};
 pub type UnitKey = Vec<Value>;
 
 /// The relational skeleton of an instance: sets of grounded entities and
-/// relationship tuples, with interned dense mirrors and adjacency indexes
-/// for efficient traversal.
+/// relationship tuples, stored as interned symbols with their indexes.
 ///
 /// Entity keys are stored per class in insertion order; a key's position
 /// is its **row**. Rows are append-only (entities are never removed), so
@@ -44,40 +54,162 @@ pub type UnitKey = Vec<Value>;
 ///
 /// The skeleton is one copy-on-write unit of an [`crate::Instance`]: a
 /// structural commit copies it whole, an attribute-only commit shares it.
-///
-/// All `#[serde(skip)]` fields are derived state. They are maintained
-/// eagerly by `add_entity`/`add_relationship` and rebuilt by
-/// [`Skeleton::rebuild_indexes`], which must be called after
-/// deserialisation (the same contract the positional indexes have always
-/// had). The symbol table is append-only and never cleared, so symbols
-/// handed out earlier stay valid across index rebuilds.
+/// The symbol table is append-only, so symbols handed out earlier stay
+/// valid for the skeleton's lifetime, removals included.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Skeleton {
-    /// Entity class name → set of keys (insertion-ordered).
-    entities: BTreeMap<String, Vec<Value>>,
-    /// Relationship name → list of tuples.
-    relationships: BTreeMap<String, Vec<UnitKey>>,
-    /// The value interner shared by every dense mirror below.
-    #[serde(skip)]
+    /// The only holder of the skeleton's `Value`s.
     interner: SymbolTable,
-    /// Dense mirror of `entities` (aligned per class).
-    #[serde(skip)]
-    entity_syms: BTreeMap<String, Vec<Sym>>,
-    /// Per entity class: key symbol → row in `entities[class]` (the one
-    /// membership index of the class; rows never move).
-    #[serde(skip)]
-    entity_index: BTreeMap<String, SymMap<Sym, u32>>,
-    /// Dense mirror of `relationships` (aligned per relationship).
-    #[serde(skip)]
-    rel_syms: BTreeMap<String, Vec<Vec<Sym>>>,
-    /// (relationship, position, symbol) → row indexes into
-    /// `relationships[rel]`.
-    #[serde(skip)]
-    rel_index: HashMap<(String, usize), SymMap<Sym, Vec<u32>>>,
-    /// Authoritative per-relationship membership sets for duplicate
-    /// detection, keyed on interned tuples (no `UnitKey` clones).
-    #[serde(skip)]
-    rel_set: BTreeMap<String, SymSet<Vec<Sym>>>,
+    /// Entity class name → its rows.
+    entities: BTreeMap<String, EntityClass>,
+    /// Relationship name → its tuples.
+    relationships: BTreeMap<String, Relation>,
+}
+
+/// One entity class: key symbols in row order and the key → row index.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct EntityClass {
+    keys: Vec<Sym>,
+    rows: SymMap<Sym, u32>,
+}
+
+/// One relationship: its tuples as rows of symbols, stored flat, with one
+/// index per position. Rows may differ in width, because the raw API does
+/// not enforce arity; a zero-width row appears in no positional index.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Relation {
+    /// Every row's symbols, row after row.
+    syms: Vec<Sym>,
+    /// Row `r` is `syms[offsets[r]..offsets[r + 1]]`; `offsets[0] == 0`.
+    offsets: Vec<u32>,
+    /// Position → symbol → the rows holding it there, in row order.
+    index: Vec<PositionIndex>,
+}
+
+/// Symbol → row ids, for one position of one relationship.
+type PositionIndex = SymMap<Sym, Vec<u32>>;
+
+impl Default for Relation {
+    fn default() -> Self {
+        Self {
+            syms: Vec::new(),
+            offsets: vec![0],
+            index: Vec::new(),
+        }
+    }
+}
+
+impl Relation {
+    fn rows(&self) -> RelRows<'_> {
+        RelRows {
+            syms: &self.syms,
+            offsets: &self.offsets,
+        }
+    }
+
+    /// The row holding exactly `tuple`: the candidates are the shortest
+    /// posting list among the tuple's positions, compared by row slice.
+    fn find(&self, tuple: &[Sym]) -> Option<usize> {
+        let rows = self.rows();
+        if tuple.is_empty() {
+            return (0..rows.len()).find(|&r| rows.row(r).is_empty());
+        }
+        let mut shortest: Option<&[u32]> = None;
+        for (index, sym) in self.index.get(..tuple.len())?.iter().zip(tuple) {
+            let hits = index.get(sym)?;
+            if shortest.is_none_or(|s| hits.len() < s.len()) {
+                shortest = Some(hits);
+            }
+        }
+        shortest?
+            .iter()
+            .map(|&r| r as usize)
+            .find(|&r| rows.row(r) == tuple)
+    }
+
+    fn push(&mut self, tuple: &[Sym]) {
+        let row = u32::try_from(self.rows().len()).expect("more than u32::MAX tuples");
+        index_row(&mut self.index, row, tuple);
+        self.syms.extend_from_slice(tuple);
+        self.offsets
+            .push(u32::try_from(self.syms.len()).expect("more than u32::MAX tuple components"));
+    }
+
+    /// Remove row `row`. Every later row shifts down by one, so the
+    /// positional indexes are rebuilt.
+    fn remove(&mut self, row: usize) {
+        let (start, end) = (self.offsets[row], self.offsets[row + 1]);
+        self.syms.drain(start as usize..end as usize);
+        self.offsets.remove(row + 1);
+        for offset in &mut self.offsets[row + 1..] {
+            *offset -= end - start;
+        }
+        let mut index = Vec::new();
+        for (r, tuple) in self.rows().iter().enumerate() {
+            index_row(&mut index, r as u32, tuple);
+        }
+        self.index = index;
+    }
+}
+
+/// Record `tuple` as row `row` in the positional indexes.
+fn index_row(index: &mut Vec<PositionIndex>, row: u32, tuple: &[Sym]) {
+    if index.len() < tuple.len() {
+        index.resize_with(tuple.len(), PositionIndex::default);
+    }
+    for (position, &sym) in index.iter_mut().zip(tuple) {
+        position.entry(sym).or_default().push(row);
+    }
+}
+
+/// The tuples of one relationship as rows of interned symbols, in stored
+/// order (see [`Skeleton::relationship_syms`]).
+#[derive(Debug, Clone, Copy)]
+pub struct RelRows<'a> {
+    syms: &'a [Sym],
+    offsets: &'a [u32],
+}
+
+impl<'a> RelRows<'a> {
+    const EMPTY: RelRows<'static> = RelRows {
+        syms: &[],
+        offsets: &[0],
+    };
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The symbols of row `row`.
+    ///
+    /// # Panics
+    /// Panics if `row >= self.len()`.
+    pub fn row(&self, row: usize) -> &'a [Sym] {
+        &self.syms[self.offsets[row] as usize..self.offsets[row + 1] as usize]
+    }
+
+    /// Every row, in stored order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a [Sym]> + 'a {
+        let syms = self.syms;
+        self.offsets
+            .windows(2)
+            .map(move |w| &syms[w[0] as usize..w[1] as usize])
+    }
+}
+
+/// The record of `name` in `map`, created empty on first use (without
+/// allocating the name again once it exists).
+fn record<'m, T: Default>(map: &'m mut BTreeMap<String, T>, name: &str) -> &'m mut T {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), T::default());
+    }
+    map.get_mut(name).expect("inserted above")
 }
 
 impl Skeleton {
@@ -89,129 +221,54 @@ impl Skeleton {
     /// Add a grounded entity with key `key` to class `entity`.
     /// Duplicate keys are ignored (idempotent).
     pub fn add_entity(&mut self, entity: &str, key: Value) {
-        // Resynchronise the derived mirror if it is stale (deserialisation).
-        let stored = self.entities.entry(entity.to_string()).or_default().len();
-        let mirrored = self.entity_syms.get(entity).map_or(0, Vec::len);
-        if mirrored != stored {
-            self.resync_entity(entity);
-        }
         let sym = self.interner.intern(&key);
-        let index = self.entity_index.entry(entity.to_string()).or_default();
-        if let std::collections::hash_map::Entry::Vacant(slot) = index.entry(sym) {
-            slot.insert(u32::try_from(stored).expect("more than u32::MAX entities"));
-            self.entities
-                .get_mut(entity)
-                .expect("entry created above")
-                .push(key);
-            self.entity_syms
-                .entry(entity.to_string())
-                .or_default()
-                .push(sym);
+        let class = record(&mut self.entities, entity);
+        let row = u32::try_from(class.keys.len()).expect("more than u32::MAX entities");
+        if let std::collections::hash_map::Entry::Vacant(slot) = class.rows.entry(sym) {
+            slot.insert(row);
+            class.keys.push(sym);
         }
     }
 
-    /// Add a grounded relationship tuple. Duplicates are stored only once.
-    ///
-    /// Duplicate detection is authoritative: it consults a per-relationship
-    /// membership set of interned tuples rather than the positional index,
-    /// so it keeps working for zero-arity tuples and after deserialisation
-    /// (where the derived indexes start out empty and are resynchronised
-    /// lazily here).
+    /// Add a grounded relationship tuple. Duplicates are stored only once,
+    /// zero-arity and mixed-arity tuples included.
     pub fn add_relationship(&mut self, rel: &str, tuple: UnitKey) {
-        let stored = self.relationships.entry(rel.to_string()).or_default().len();
-        let mirrored = self.rel_syms.get(rel).map_or(0, Vec::len);
-        if mirrored != stored {
-            self.resync_relationship(rel);
-        }
         let syms: Vec<Sym> = tuple.iter().map(|v| self.interner.intern(v)).collect();
-        if !self
-            .rel_set
-            .entry(rel.to_string())
-            .or_default()
-            .insert(syms.clone())
-        {
-            return;
+        let relation = record(&mut self.relationships, rel);
+        if relation.find(&syms).is_none() {
+            relation.push(&syms);
         }
-        let rows = self
-            .relationships
-            .get_mut(rel)
-            .expect("entry created above");
-        let row_id = u32::try_from(rows.len()).expect("more than u32::MAX tuples");
-        rows.push(tuple);
-        for (pos, &sym) in syms.iter().enumerate() {
-            self.rel_index
-                .entry((rel.to_string(), pos))
-                .or_default()
-                .entry(sym)
-                .or_default()
-                .push(row_id);
-        }
-        self.rel_syms.entry(rel.to_string()).or_default().push(syms);
     }
 
     /// Remove a grounded relationship tuple. Returns `true` if the tuple
     /// was present (and removed), `false` if it was absent.
     ///
-    /// Removal shifts the row ids of every later tuple of `rel`, so the
-    /// derived positional state for that relationship is rebuilt from
-    /// canonical storage. The interner is append-only and untouched:
-    /// symbols issued earlier stay valid.
+    /// Removal shifts the row ids of every later tuple of `rel`. The
+    /// interner is append-only and untouched: symbols issued earlier stay
+    /// valid.
     pub fn remove_relationship(&mut self, rel: &str, tuple: &[Value]) -> bool {
-        let Some(rows) = self.relationships.get_mut(rel) else {
+        let Some(syms) = self.syms_of(tuple) else {
             return false;
         };
-        let Some(pos) = rows.iter().position(|t| t.as_slice() == tuple) else {
+        let Some(relation) = self.relationships.get_mut(rel) else {
             return false;
         };
-        rows.remove(pos);
-        self.resync_relationship(rel);
-        true
-    }
-
-    /// Rebuild the derived state of one entity class from canonical storage.
-    fn resync_entity(&mut self, entity: &str) {
-        let keys = self.entities.get(entity).cloned().unwrap_or_default();
-        let syms: Vec<Sym> = keys.iter().map(|k| self.interner.intern(k)).collect();
-        let rows = syms
-            .iter()
-            .enumerate()
-            .map(|(row, &sym)| {
-                (
-                    sym,
-                    u32::try_from(row).expect("more than u32::MAX entities"),
-                )
-            })
-            .collect();
-        self.entity_index.insert(entity.to_string(), rows);
-        self.entity_syms.insert(entity.to_string(), syms);
-    }
-
-    /// Rebuild the derived state of one relationship from canonical storage.
-    fn resync_relationship(&mut self, rel: &str) {
-        let tuples = self.relationships.get(rel).cloned().unwrap_or_default();
-        let syms: Vec<Vec<Sym>> = tuples
-            .iter()
-            .map(|t| t.iter().map(|v| self.interner.intern(v)).collect())
-            .collect();
-        self.rel_index.retain(|(r, _), _| r != rel);
-        for (row_id, tuple) in syms.iter().enumerate() {
-            for (pos, &sym) in tuple.iter().enumerate() {
-                self.rel_index
-                    .entry((rel.to_string(), pos))
-                    .or_default()
-                    .entry(sym)
-                    .or_default()
-                    .push(row_id as u32);
+        match relation.find(&syms) {
+            Some(row) => {
+                relation.remove(row);
+                true
             }
+            None => false,
         }
-        self.rel_set
-            .insert(rel.to_string(), syms.iter().cloned().collect());
-        self.rel_syms.insert(rel.to_string(), syms);
     }
 
-    /// The skeleton's value interner. Append-only: symbols stay valid for
-    /// the lifetime of the skeleton (including across
-    /// [`Skeleton::rebuild_indexes`]).
+    /// The symbols of `tuple`, if every component has been interned.
+    fn syms_of(&self, tuple: &[Value]) -> Option<Vec<Sym>> {
+        tuple.iter().map(|v| self.interner.get(v)).collect()
+    }
+
+    /// The skeleton's value interner: the one holder of its `Value`s.
+    /// Append-only: symbols stay valid for the lifetime of the skeleton.
     pub fn interner(&self) -> &SymbolTable {
         &self.interner
     }
@@ -243,48 +300,54 @@ impl Skeleton {
     /// Readers resolve it once per class so each per-unit probe is a
     /// single symbol hash.
     pub fn entity_rows(&self, entity: &str) -> Option<&SymMap<Sym, u32>> {
-        self.entity_index.get(entity)
+        self.entities.get(entity).map(|class| &class.rows)
     }
 
-    /// All keys of entity class `entity` (empty slice if the class is empty).
-    pub fn entity_keys(&self, entity: &str) -> &[Value] {
+    /// Every key of entity class `entity`, in row order, as the interner's
+    /// representatives (empty if the class is empty).
+    pub fn entity_keys(&self, entity: &str) -> impl ExactSizeIterator<Item = &Value> + '_ {
+        self.entity_syms(entity)
+            .iter()
+            .map(|&sym| self.interner.value(sym))
+    }
+
+    /// The interned key of every row of `entity`, in row order.
+    pub fn entity_syms(&self, entity: &str) -> &[Sym] {
         self.entities
             .get(entity)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// Dense mirror of [`Skeleton::entity_keys`]: the interned symbols of
-    /// every key of `entity`, in stored order.
-    pub fn entity_syms(&self, entity: &str) -> &[Sym] {
-        self.entity_syms
-            .get(entity)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+            .map_or(&[], |class| class.keys.as_slice())
     }
 
     /// Number of grounded entities in class `entity`.
     pub fn entity_count(&self, entity: &str) -> usize {
-        self.entities.get(entity).map_or(0, Vec::len)
+        self.entity_syms(entity).len()
     }
 
-    /// All tuples of relationship `rel`.
-    pub fn relationship_tuples(&self, rel: &str) -> &[UnitKey] {
+    /// Every tuple of relationship `rel`, in stored order, built from the
+    /// interner's representatives.
+    pub fn relationship_tuples(&self, rel: &str) -> impl ExactSizeIterator<Item = UnitKey> + '_ {
+        self.relationship_syms(rel)
+            .iter()
+            .map(|row| self.values_of(row))
+    }
+
+    /// The tuples of `rel` as rows of interned symbols, in stored order.
+    pub fn relationship_syms(&self, rel: &str) -> RelRows<'_> {
         self.relationships
             .get(rel)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+            .map_or(RelRows::EMPTY, Relation::rows)
     }
 
-    /// Dense mirror of [`Skeleton::relationship_tuples`]: the interned
-    /// tuples of `rel`, aligned row for row with the `Value` storage.
-    pub fn relationship_syms(&self, rel: &str) -> &[Vec<Sym>] {
-        self.rel_syms.get(rel).map(|v| v.as_slice()).unwrap_or(&[])
+    /// The values of an interned tuple.
+    fn values_of(&self, row: &[Sym]) -> UnitKey {
+        row.iter()
+            .map(|&s| self.interner.value(s).clone())
+            .collect()
     }
 
     /// Number of tuples of relationship `rel`.
     pub fn relationship_count(&self, rel: &str) -> usize {
-        self.relationships.get(rel).map_or(0, Vec::len)
+        self.relationship_syms(rel).len()
     }
 
     /// Tuples of `rel` whose component at `position` equals `key`.
@@ -293,14 +356,14 @@ impl Skeleton {
         rel: &str,
         position: usize,
         key: &Value,
-    ) -> Vec<&UnitKey> {
+    ) -> Vec<UnitKey> {
         let Some(sym) = self.interner.get(key) else {
             return Vec::new();
         };
-        let table = self.relationship_tuples(rel);
+        let rows = self.relationship_syms(rel);
         self.rows_with(rel, position, sym)
             .iter()
-            .map(|&r| &table[r as usize])
+            .map(|&r| self.values_of(rows.row(r as usize)))
             .collect()
     }
 
@@ -309,24 +372,21 @@ impl Skeleton {
     pub fn rows_with(&self, rel: &str, position: usize, sym: Sym) -> &[u32] {
         self.positional_index(rel, position)
             .and_then(|idx| idx.get(&sym))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .map_or(&[], Vec::as_slice)
     }
 
     /// The whole positional index of `(rel, position)`: symbol → row ids.
     /// Executors resolve this once per plan step so the per-row probe is a
     /// single symbol hash (no per-row key construction).
     pub fn positional_index(&self, rel: &str, position: usize) -> Option<&SymMap<Sym, Vec<u32>>> {
-        self.rel_index.get(&(rel.to_string(), position))
+        self.relationships.get(rel)?.index.get(position)
     }
 
     /// Number of distinct values appearing at `position` of relationship
     /// `rel`. Used by the query planner as a selectivity estimate: a hash
     /// probe on this position returns `count / distinct` tuples on average.
     pub fn distinct_count(&self, rel: &str, position: usize) -> usize {
-        self.rel_index
-            .get(&(rel.to_string(), position))
-            .map_or(0, SymMap::len)
+        self.positional_index(rel, position).map_or(0, SymMap::len)
     }
 
     /// Whether any tuple of `rel` has value `key` at `position` (an O(1)
@@ -339,23 +399,21 @@ impl Skeleton {
 
     /// Dense variant of [`Skeleton::contains_at`] for an interned symbol.
     pub fn contains_sym_at(&self, rel: &str, position: usize, sym: Sym) -> bool {
-        self.rel_index
-            .get(&(rel.to_string(), position))
+        self.positional_index(rel, position)
             .is_some_and(|idx| idx.contains_key(&sym))
     }
 
     /// Whether relationship `rel` contains exactly `tuple`.
     pub fn has_relationship(&self, rel: &str, tuple: &[Value]) -> bool {
-        let syms: Option<Vec<Sym>> = tuple.iter().map(|v| self.interner.get(v)).collect();
-        match syms {
-            Some(syms) => self.has_relationship_syms(rel, &syms),
-            None => false,
-        }
+        self.syms_of(tuple)
+            .is_some_and(|syms| self.has_relationship_syms(rel, &syms))
     }
 
     /// Dense variant of [`Skeleton::has_relationship`] for interned tuples.
     pub fn has_relationship_syms(&self, rel: &str, tuple: &[Sym]) -> bool {
-        self.rel_set.get(rel).is_some_and(|s| s.contains(tuple))
+        self.relationships
+            .get(rel)
+            .is_some_and(|relation| relation.find(tuple).is_some())
     }
 
     /// Grounded units of a predicate: single-component keys for entities,
@@ -364,21 +422,20 @@ impl Skeleton {
         match schema.require_predicate(predicate)? {
             PredicateKind::Entity => Ok(self
                 .entity_keys(predicate)
-                .iter()
                 .map(|k| vec![k.clone()])
                 .collect()),
-            PredicateKind::Relationship => Ok(self.relationship_tuples(predicate).to_vec()),
+            PredicateKind::Relationship => Ok(self.relationship_tuples(predicate).collect()),
         }
     }
 
     /// Validate that every relationship tuple references existing entities
     /// and has the declared arity.
     pub fn validate(&self, schema: &RelationalSchema) -> RelResult<()> {
-        for (rel, tuples) in &self.relationships {
+        for (rel, relation) in &self.relationships {
             let positions = schema
                 .predicate_positions(rel)
                 .ok_or_else(|| RelError::UnknownPredicate(rel.clone()))?;
-            for tuple in tuples {
+            for tuple in relation.rows().iter() {
                 if tuple.len() != positions.len() {
                     return Err(RelError::ArityMismatch {
                         predicate: rel.clone(),
@@ -386,12 +443,12 @@ impl Skeleton {
                         actual: tuple.len(),
                     });
                 }
-                for (entity, key) in positions.iter().zip(tuple.iter()) {
-                    if !self.has_entity(entity, key) {
+                for (entity, &sym) in positions.iter().zip(tuple) {
+                    if !self.has_entity_sym(entity, sym) {
                         return Err(RelError::DanglingReference {
                             rel: rel.clone(),
                             entity: entity.clone(),
-                            key: key.to_string(),
+                            key: self.interner.value(sym).to_string(),
                         });
                     }
                 }
@@ -402,30 +459,12 @@ impl Skeleton {
 
     /// Total number of grounded entities across all classes.
     pub fn total_entities(&self) -> usize {
-        self.entities.values().map(Vec::len).sum()
+        self.entities.values().map(|class| class.keys.len()).sum()
     }
 
     /// Total number of relationship tuples across all classes.
     pub fn total_relationship_tuples(&self) -> usize {
-        self.relationships.values().map(Vec::len).sum()
-    }
-
-    /// Rebuild the dense mirrors and positional indexes from the canonical
-    /// `Value` storage (needed after deserialisation, since all derived
-    /// state is skipped by serde).
-    ///
-    /// The interner is *extended*, never cleared: symbols issued before the
-    /// rebuild keep their meaning, so caches keyed on symbols (see
-    /// [`crate::index::IndexCache`]) are not silently remapped.
-    pub fn rebuild_indexes(&mut self) {
-        let classes: Vec<String> = self.entities.keys().cloned().collect();
-        for entity in classes {
-            self.resync_entity(&entity);
-        }
-        let rels: Vec<String> = self.relationships.keys().cloned().collect();
-        for rel in rels {
-            self.resync_relationship(&rel);
-        }
+        self.relationships.values().map(|r| r.rows().len()).sum()
     }
 
     /// A stable 64-bit fingerprint of the skeleton's content (every entity
@@ -443,20 +482,24 @@ impl Skeleton {
     pub fn fingerprint(&self) -> u64 {
         let mix = fnv1a;
         let mut h = FNV_OFFSET;
-        for (entity, keys) in &self.entities {
+        for (entity, class) in &self.entities {
             mix(&mut h, entity.as_bytes());
             mix(&mut h, &[0xff]);
-            for key in keys {
-                key.fold_key_bytes(&mut |bytes| mix(&mut h, bytes));
+            for &key in &class.keys {
+                self.interner
+                    .value(key)
+                    .fold_key_bytes(&mut |bytes| mix(&mut h, bytes));
                 mix(&mut h, &[0xfe]);
             }
         }
-        for (rel, tuples) in &self.relationships {
+        for (rel, relation) in &self.relationships {
             mix(&mut h, rel.as_bytes());
             mix(&mut h, &[0xfd]);
-            for tuple in tuples {
-                for v in tuple {
-                    v.fold_key_bytes(&mut |bytes| mix(&mut h, bytes));
+            for tuple in relation.rows().iter() {
+                for &sym in tuple {
+                    self.interner
+                        .value(sym)
+                        .fold_key_bytes(&mut |bytes| mix(&mut h, bytes));
                     mix(&mut h, &[0xfc]);
                 }
                 mix(&mut h, &[0xfb]);
@@ -534,24 +577,32 @@ mod tests {
     }
 
     #[test]
-    fn dense_mirrors_align_with_value_storage() {
+    fn symbol_rows_resolve_to_the_added_values() {
         let (_, sk) = paper_skeleton();
         let interner = sk.interner();
-        // Entity mirrors resolve back to the stored keys, row for row.
+        // Entity rows resolve back to the added keys, row for row.
+        let people: Vec<&Value> = sk.entity_keys("Person").collect();
+        assert_eq!(
+            people,
+            [
+                &Value::from("Bob"),
+                &Value::from("Carlos"),
+                &Value::from("Eva")
+            ]
+        );
         for entity in ["Person", "Submission", "Conference"] {
-            let keys = sk.entity_keys(entity);
             let syms = sk.entity_syms(entity);
-            assert_eq!(keys.len(), syms.len());
-            for (key, &sym) in keys.iter().zip(syms) {
+            assert_eq!(sk.entity_keys(entity).len(), syms.len());
+            for (key, &sym) in sk.entity_keys(entity).zip(syms) {
                 assert_eq!(interner.value(sym), key);
                 assert!(sk.has_entity_sym(entity, sym));
             }
         }
-        // Relationship mirrors too.
-        let tuples = sk.relationship_tuples("Author");
-        let syms = sk.relationship_syms("Author");
-        assert_eq!(tuples.len(), syms.len());
-        for (tuple, row) in tuples.iter().zip(syms) {
+        // Relationship rows too.
+        let rows = sk.relationship_syms("Author");
+        assert_eq!(sk.relationship_tuples("Author").len(), rows.len());
+        for (r, tuple) in sk.relationship_tuples("Author").enumerate() {
+            let row = rows.row(r);
             for (v, &s) in tuple.iter().zip(row) {
                 assert_eq!(interner.value(s), v);
             }
@@ -562,6 +613,24 @@ mod tests {
         assert_eq!(sk.rows_with("Author", 0, eva).len(), 3);
         assert!(sk.contains_sym_at("Author", 0, eva));
         assert!(!sk.contains_sym_at("Submitted", 0, eva));
+    }
+
+    #[test]
+    fn keys_read_back_as_the_first_interned_equal_value() {
+        let mut sk = Skeleton::new();
+        sk.add_entity("Year", Value::Int(2));
+        sk.add_entity("Grade", Value::Float(2.0));
+        sk.add_relationship("Takes", vec![Value::Float(2.0), Value::Int(2)]);
+        assert!(matches!(
+            sk.entity_keys("Grade").next(),
+            Some(Value::Int(2))
+        ));
+        let tuples: Vec<UnitKey> = sk.relationship_tuples("Takes").collect();
+        assert!(matches!(
+            tuples[0].as_slice(),
+            [Value::Int(2), Value::Int(2)]
+        ));
+        assert!(sk.has_relationship("Takes", &[Value::Int(2), Value::Float(2.0)]));
     }
 
     #[test]
@@ -597,32 +666,30 @@ mod tests {
 
     #[test]
     fn dedup_is_authoritative_without_a_position_0_index() {
-        // Regression: duplicate detection used to consult only the
-        // position-0 positional index, so tuples that never populate it
-        // (zero-arity tuples) or a skeleton whose derived indexes are empty
-        // were silently stored twice.
+        // Regression: duplicate detection once consulted only the
+        // position-0 index, which zero-arity tuples never populate, so they
+        // were stored twice. Their membership is answered from the rows.
         let mut sk = Skeleton::new();
         sk.add_relationship("Marker", vec![]);
         sk.add_relationship("Marker", vec![]);
         assert_eq!(sk.relationship_count("Marker"), 1);
+        assert!(sk.has_relationship("Marker", &[]));
 
-        // Stale derived state (as after deserialisation): wipe the indexes
-        // and membership sets, then re-add an existing tuple.
-        let mut sk = Skeleton::new();
-        sk.add_entity("Person", Value::from("Bob"));
-        sk.add_entity("Submission", Value::from("s1"));
-        sk.add_relationship("Author", vec![Value::from("Bob"), Value::from("s1")]);
-        sk.rel_index.clear();
-        sk.rel_set.clear();
-        sk.rel_syms.clear();
-        sk.add_relationship("Author", vec![Value::from("Bob"), Value::from("s1")]);
-        assert_eq!(sk.relationship_count("Author"), 1);
-        // The lazy resync restored the dense state too.
-        assert_eq!(sk.relationship_syms("Author").len(), 1);
+        // A prefix of a stored tuple is a different tuple, and vice versa.
+        let (bob, s1) = (Value::from("Bob"), Value::from("s1"));
+        sk.add_relationship("Marker", vec![bob.clone(), s1.clone()]);
+        sk.add_relationship("Marker", vec![bob.clone()]);
+        sk.add_relationship("Marker", vec![bob.clone(), s1.clone()]);
+        sk.add_relationship("Marker", vec![bob.clone()]);
+        assert_eq!(sk.relationship_count("Marker"), 3);
+        assert!(!sk.has_relationship("Marker", std::slice::from_ref(&s1)));
+        assert!(!sk.has_relationship("Marker", &[bob.clone(), s1.clone(), bob.clone()]));
+        assert!(sk.remove_relationship("Marker", &[]));
+        assert!(!sk.has_relationship("Marker", &[]));
+        assert!(sk.has_relationship("Marker", std::slice::from_ref(&bob)));
         assert_eq!(
-            sk.relationship_tuples_with("Author", 0, &Value::from("Bob"))
-                .len(),
-            1
+            sk.rows_with("Marker", 0, sk.interner().get(&bob).unwrap()),
+            &[0, 1]
         );
     }
 
@@ -633,7 +700,7 @@ mod tests {
         assert!(sk.remove_relationship("Author", &[Value::from("Eva"), Value::from("s2")]));
         assert_eq!(sk.relationship_count("Author"), 4);
         assert_ne!(sk.fingerprint(), fp);
-        // Positional indexes, membership sets, and dense mirrors all agree.
+        // The positional indexes, membership and the rows all agree.
         assert_eq!(
             sk.relationship_tuples_with("Author", 0, &Value::from("Eva"))
                 .len(),
@@ -642,7 +709,7 @@ mod tests {
         assert!(!sk.has_relationship("Author", &[Value::from("Eva"), Value::from("s2")]));
         assert_eq!(sk.relationship_syms("Author").len(), 4);
         assert!(sk.validate(&schema).is_ok());
-        // The tuple can be re-added (dedupe set was rebuilt correctly).
+        // The tuple can be re-added (membership no longer finds it).
         sk.add_relationship("Author", vec![Value::from("Eva"), Value::from("s2")]);
         assert_eq!(sk.relationship_count("Author"), 5);
         // Removing an absent tuple or unknown relationship is a no-op.
@@ -654,10 +721,8 @@ mod tests {
     fn fingerprint_is_stable_and_content_sensitive() {
         let (_, sk) = paper_skeleton();
         let fp = sk.fingerprint();
-        // Stable across clones and index rebuilds (derived state is not hashed).
+        // Stable across clones.
         let mut clone = sk.clone();
-        assert_eq!(clone.fingerprint(), fp);
-        clone.rebuild_indexes();
         assert_eq!(clone.fingerprint(), fp);
         // Re-adding existing content is a no-op for the fingerprint.
         clone.add_entity("Person", Value::from("Bob"));
@@ -676,17 +741,14 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_indexes_is_idempotent_and_keeps_symbols_valid() {
+    fn symbols_stay_valid_across_removals() {
         let (_, mut sk) = paper_skeleton();
         let eva_before = sk.interner().get(&Value::from("Eva")).unwrap();
-        sk.rebuild_indexes();
-        sk.rebuild_indexes();
-        assert_eq!(
-            sk.relationship_tuples_with("Author", 0, &Value::from("Eva"))
-                .len(),
-            3
-        );
-        // Symbols issued before the rebuild still resolve (append-only).
+        assert!(sk.remove_relationship("Author", &[Value::from("Eva"), Value::from("s1")]));
+        assert!(sk.remove_relationship("Author", &[Value::from("Eva"), Value::from("s3")]));
+        assert_eq!(sk.rows_with("Author", 0, eva_before), &[1]);
+        assert_eq!(sk.relationship_syms("Author").row(1)[0], eva_before);
+        // Symbols issued before the removals still resolve (append-only).
         assert_eq!(sk.interner().get(&Value::from("Eva")), Some(eva_before));
         assert_eq!(sk.interner().value(eva_before), &Value::from("Eva"));
     }

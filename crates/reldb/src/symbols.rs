@@ -14,6 +14,7 @@
 //! representative of the equivalence class.
 
 use crate::value::Value;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A dense interned symbol standing for one distinct [`Value`].
@@ -22,7 +23,7 @@ use std::collections::HashMap;
 /// them; they are never reused or remapped while the table lives (the table
 /// is append-only), so a symbol obtained once stays valid for the lifetime
 /// of its skeleton.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Sym(u32);
 
 impl Sym {
@@ -45,7 +46,7 @@ impl Sym {
 
 /// An append-only intern table mapping distinct [`Value`]s to dense
 /// [`Sym`]s and back.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SymbolTable {
     values: Vec<Value>,
     lookup: HashMap<Value, Sym>,
@@ -75,12 +76,6 @@ impl SymbolTable {
     /// The symbol of `value`, if it has been interned.
     pub fn get(&self, value: &Value) -> Option<Sym> {
         self.lookup.get(value).copied()
-    }
-
-    /// The raw `u32` symbol index of `value`, if it has been interned.
-    /// Convenience for signature builders that store packed symbol ids.
-    pub fn get_u32(&self, value: &Value) -> Option<u32> {
-        self.lookup.get(value).map(|s| s.0)
     }
 
     /// Resolve a symbol back to (the first-interned representative of) its

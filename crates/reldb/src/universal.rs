@@ -16,6 +16,7 @@
 use crate::error::RelResult;
 use crate::instance::Instance;
 use crate::schema::PredicateKind;
+use crate::skeleton::UnitKey;
 use crate::table::Table;
 use crate::value::{Value, ValueKey};
 use std::collections::{HashMap, HashSet};
@@ -99,8 +100,9 @@ pub fn universal_table(instance: &Instance) -> RelResult<Table> {
                 .collect();
             // Grouping keys are borrowed `ValueKey` views — no per-tuple
             // key-string allocation.
-            let mut index: HashMap<Vec<ValueKey<'_>>, Vec<&Vec<Value>>> = HashMap::new();
-            for tuple in skeleton.relationship_tuples(&rel.name) {
+            let tuples: Vec<UnitKey> = skeleton.relationship_tuples(&rel.name).collect();
+            let mut index: HashMap<Vec<ValueKey<'_>>, Vec<&UnitKey>> = HashMap::new();
+            for tuple in &tuples {
                 let key: Vec<ValueKey<'_>> = shared.iter().map(|&i| ValueKey(&tuple[i])).collect();
                 index.entry(key).or_default().push(tuple);
             }

@@ -280,7 +280,7 @@ fn check_reads(inst: &Instance, model: &Model) {
         }
         // Row-addressed reads agree on every row of an entity subject.
         if let Some(class) = inst.schema().attribute(attr).map(|d| d.subject.clone()) {
-            for (row, key) in inst.skeleton().entity_keys(&class).iter().enumerate() {
+            for (row, key) in inst.skeleton().entity_keys(&class).enumerate() {
                 let want = model.get(&(attr.to_string(), vec![key.clone()]));
                 assert!(same(reader.at_row(row), want), "{attr} row {row} (reader)");
             }
@@ -477,7 +477,7 @@ fn many_cells_of_absent_units_leave_unit_reads_alone() {
     let interner = next.skeleton().interner();
     for attr in ["Qualification", "Prestige"] {
         let reader = next.attribute_reader(attr);
-        for (row, key) in next.skeleton().entity_keys("Person").iter().enumerate() {
+        for (row, key) in next.skeleton().entity_keys("Person").enumerate() {
             let want = model.get(&(attr.to_string(), vec![key.clone()]));
             assert!(same(reader.at_row(row), want), "{attr} row {row}");
             let sym = interner.get(key).unwrap();

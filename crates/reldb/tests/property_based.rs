@@ -94,7 +94,7 @@ fn naive_evaluate(
     let vars: Vec<String> = query.variables().into_iter().collect();
     let mut domain: Vec<Value> = Vec::new();
     for e in schema.entities() {
-        domain.extend(instance.skeleton().entity_keys(&e.name).iter().cloned());
+        domain.extend(instance.skeleton().entity_keys(&e.name).cloned());
     }
     let mut count = 0usize;
     let mut assignment: Vec<usize> = vec![0; vars.len()];
@@ -120,7 +120,7 @@ fn naive_evaluate(
                 Some(reldb::PredicateKind::Relationship) => instance
                     .skeleton()
                     .relationship_tuples(&atom.predicate)
-                    .contains(&tuple),
+                    .any(|t| t == tuple),
                 None => false,
             }
         });

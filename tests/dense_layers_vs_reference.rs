@@ -16,8 +16,8 @@
 use carl::adjust::{covariates, AdjustmentPlan};
 use carl::peers::{compute_peers, compute_peers_streamed, PeerMap};
 use carl::rowwise::{
-    build_row_unit_table, compute_peers_rowwise, compute_peers_streamed_rowwise,
-    covariates_rowwise, RowAdjustmentPlan, RowPeerMap, RowUnitTableSpec,
+    build_row_unit_table, compute_peers_rowwise, covariates_rowwise, RowAdjustmentPlan, RowPeerMap,
+    RowUnitTableSpec,
 };
 use carl::unit_table::{build_unit_table, UnitTableSpec};
 use carl::{
@@ -485,7 +485,8 @@ fn engine_prepare_matches_the_reference_for_every_embedding_and_where_clause() {
 }
 
 /// The streamed peer walk over a query-synthesised aggregate extension
-/// against its key-addressed reference.
+/// against the key-addressed reference walk over the effective program's
+/// full grounding, where the aggregate's vertices are materialised.
 #[test]
 fn streamed_extension_peers_match_the_reference() {
     let instance = review_with_edge_units();
@@ -506,7 +507,8 @@ fn streamed_extension_peers_match_the_reference() {
         let mut units = person_units(&instance);
         units.reverse();
         let dense = compute_peers_streamed(&base, &ext, "Prestige", &units, &instance);
-        let reference = compute_peers_streamed_rowwise(&base, &ext, "Prestige", &units, &instance);
+        let grounded = ground(&effective, &instance).unwrap();
+        let reference = compute_peers_rowwise(&grounded, "Prestige", &rule.name, &units);
         assert_peers_match(&units, &dense, &reference);
         assert!(dense.values().any(|p| !p.is_empty()), "{text}");
     }

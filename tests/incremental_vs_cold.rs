@@ -1,10 +1,9 @@
 //! Differential test harness: incrementally patched epochs versus cold
 //! re-grounds.
 //!
-//! [`carl::SnapshotEngine::commit`] in [`carl::CommitMode::Incremental`]
-//! (the default) turns an attribute-only mutation batch into a typed
-//! delta and *patches* the previous epoch's streamed grounding in place
-//! of re-grounding the world. This harness is the differential oracle
+//! [`carl::SnapshotEngine::commit`] turns an attribute-only mutation
+//! batch into a typed delta and *patches* the previous epoch's streamed
+//! grounding in place of re-grounding the world. This harness is the differential oracle
 //! for that fast path: after any fuzzed mutation sequence, every answer
 //! computed on a patched epoch must be **bit-identical** (same
 //! [`carl::digest_answer`] digest, same unit-table column bits, same
@@ -15,7 +14,7 @@
 //! thread-count independence (`RAYON_NUM_THREADS` ∈ {1, 4}, varied via
 //! `rayon::set_num_threads` like the streaming-vs-materialised suite).
 
-use carl::{digest_answer, CarlEngine, CommitMode, HistoryLog, SnapshotEngine};
+use carl::{digest_answer, CarlEngine, HistoryLog, SnapshotEngine};
 use carl_datagen::{generate_synthetic_review, SyntheticReviewConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -126,7 +125,6 @@ fn assert_epoch_matches_cold(service: &SnapshotEngine, rules: &str) {
 #[test]
 fn fuzzed_attribute_commits_patch_bit_identically() {
     let service = SnapshotEngine::new(dataset(11), CASCADE_RULES).expect("model binds");
-    assert_eq!(service.commit_mode(), CommitMode::Incremental);
 
     // Warm the base grounding so epoch 1 patches instead of starting cold.
     let _ = service.answer_str(QUERIES[0]);
