@@ -10,7 +10,7 @@
 //! |---------|----------|-------|
 //! | `E0101` | error    | `WHERE` clause references an undeclared predicate |
 //! | `E0102` | error    | attribute neither in the schema nor defined by an aggregate rule |
-//! | `E0103` | error    | attribute/predicate reference with the wrong arity |
+//! | `E0103` | error    | attribute/predicate reference (aggregate heads included) with the wrong arity |
 //! | `E0104` | error    | comparison constant inadmissible for the attribute's declared domain |
 //! | `W0102` | warning  | aggregate rule shadows a schema attribute of the same name |
 //!
@@ -67,7 +67,8 @@ pub(crate) type SubjectResolver<'a> = dyn Fn(&str) -> Option<(String, usize)> + 
 /// Walk every attribute and predicate reference of `program`, resolving
 /// subjects through `resolve`, and collect findings *in the model
 /// constructor's historical check order* (rules → aggregates → queries;
-/// within each: head/source, body, condition atoms, condition comparisons).
+/// within each: head, body or source, condition atoms, condition
+/// comparisons).
 /// The first finding with a `legacy` error is therefore exactly the error
 /// [`crate::model::RelationalCausalModel::new`] has always raised.
 pub(crate) fn walk_schema(
@@ -169,6 +170,13 @@ pub(crate) fn walk_schema(
         check_condition(&rule.condition, &mut out);
     }
     for agg in &program.aggregates {
+        // A head is a reference too: every definition of an aggregate name
+        // must key it with its subject's arity (the first definition's), so
+        // each attribute has one key arity. A head whose subject cannot be
+        // inferred is reported where the attribute is used.
+        if resolve(&agg.name).is_some() {
+            check_attr_ref(&agg.head(), &mut out);
+        }
         check_attr_ref(&agg.source, &mut out);
         check_condition(&agg.condition, &mut out);
     }
@@ -254,6 +262,7 @@ fn schema_attribute_names(schema: &RelationalSchema, program: &Program) -> Vec<S
         rule.condition.comparisons.iter().for_each(|c| add(&c.attr));
     }
     for agg in &program.aggregates {
+        add(&agg.head());
         add(&agg.source);
         agg.condition.comparisons.iter().for_each(|c| add(&c.attr));
     }
@@ -395,7 +404,9 @@ pub fn explain_code(code: &str) -> Option<&'static str> {
              arity.\n\n\
              The number of argument terms must match the declared arity of\n\
              the attribute's subject predicate (or of the predicate itself\n\
-             for condition atoms)."
+             for condition atoms). An aggregate takes its subject from its\n\
+             first definition, so every later definition of the same name\n\
+             needs a head of the same arity."
         }
         "E0104" => {
             "E0104: a comparison constant is inadmissible for the\n\
@@ -515,6 +526,30 @@ mod tests {
         let mut sorted = starts.clone();
         sorted.sort_unstable();
         assert_eq!(starts, sorted);
+    }
+
+    #[test]
+    fn an_aggregate_defined_with_two_head_arities_is_rejected_at_the_second_head() {
+        let schema = RelationalSchema::review_example();
+        let src = "SUM_X[A] <= Score[S] WHERE Author(A, S)\n\
+                   SUM_X[A, S] <= Score[S] WHERE Author(A, S)\n";
+        let prog = parse_program(src).unwrap();
+        let findings = analyze_with_schema(&schema, &prog);
+        assert_eq!(codes(&findings), vec!["E0103"], "{findings:?}");
+        let span = findings[0].diagnostic.span;
+        assert_eq!(
+            &src[span.start..span.end],
+            "SUM_X[A, S] <= Score[S] WHERE Author(A, S)"
+        );
+        let err = crate::model::RelationalCausalModel::new(schema, prog).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                CarlError::AttributeArity { attr, subject, expected: 1, actual: 2 }
+                    if attr == "SUM_X" && subject == "Person"
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -29,9 +29,9 @@ use crate::error::{CarlError, CarlResult};
 use crate::estimate::{CateSeries, EstimatorKind, QueryAnswer};
 use crate::graph::CausalGraph;
 use crate::ground::{
-    ground, ground_aggregate_extension, ground_streaming, ground_with, partition_comparisons,
-    patch_streamed, AggregateExtension, GroundedModel, GroundedValues, PatchSafety, RowComparisons,
-    StreamedModel, UnitRows,
+    ground, ground_aggregate_extension, ground_streaming, partition_comparisons, patch_streamed,
+    AggregateExtension, GroundedModel, GroundedValues, PatchSafety, RowComparisons, StreamedModel,
+    UnitRows,
 };
 use crate::model::RelationalCausalModel;
 use crate::paths::unify;
@@ -61,11 +61,12 @@ use std::sync::{Arc, Mutex};
 /// merge, and derived aggregate values land in dense signature-indexed
 /// column sinks that the unit table reads directly
 /// ([`crate::ground::ground_streaming`]). [`GroundingMode::Tuples`] answers
-/// through the reference grounder ([`crate::ground::ground_with`]): a
+/// through the reference grounder ([`crate::ground::ground`]): a
 /// sequential loop over each condition's `Vec<Bindings>` answers, with no
 /// analysis pruning, producing a sorted-map [`GroundedModel`]. It bypasses
-/// the grounding-result cache and re-grounds the whole effective model per
-/// query, so it serves as an independent check of production answers.
+/// both shared caches — the grounding results and the secondary indexes —
+/// and re-grounds the whole effective model per query, so it serves as an
+/// independent check of production answers.
 ///
 /// The mode governs the query-answering pipeline only:
 /// [`CarlEngine::ground_model`] always returns the reference grounding and
@@ -78,16 +79,6 @@ pub enum GroundingMode {
     Streaming,
     /// The reference grounder, with a materialised grounded model.
     Tuples,
-}
-
-/// How `prepare` obtains its grounded model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Grounding {
-    /// Through the `(rule, fingerprint)` grounding-result cache.
-    Cached,
-    /// Fully fresh: no result cache, no shared indexes (the row-wise
-    /// differential path, where a cache bug must not mask itself).
-    Fresh,
 }
 
 /// A prepared query: everything computed up to (and including) the unit
@@ -126,45 +117,17 @@ pub struct RowPreparedQuery {
     pub peer_condition: Option<PeerCondition>,
 }
 
-/// A shared handle to a grounded model, in whichever representation the
-/// grounding mode produced: the materialised sorted-map form or the
-/// streamed dense-sink form. [`GroundedHandle::values`] lends either as
-/// [`GroundedValues`], so peers, covariates and the unit-table builder
-/// consume both transparently.
-#[derive(Debug, Clone)]
-enum GroundedHandle {
-    /// Materialised [`GroundedModel`] (`Tuples` mode, and every `Fresh`
-    /// grounding).
-    Model(Arc<GroundedModel>),
-    /// Streamed [`StreamedModel`] (`Streaming` mode).
-    Streamed(Arc<StreamedModel>),
-}
-
-impl GroundedHandle {
-    /// The materialised model, when this handle holds one.
-    fn as_model(&self) -> Option<&GroundedModel> {
-        match self {
-            GroundedHandle::Model(m) => Some(m),
-            GroundedHandle::Streamed(_) => None,
-        }
-    }
-
-    /// The held grounding, whichever representation it has.
-    fn values(&self) -> &dyn GroundedValues {
-        match self {
-            GroundedHandle::Model(m) => m.as_ref(),
-            GroundedHandle::Streamed(s) => s.as_ref(),
-        }
-    }
-}
-
-/// The grounding a query actually runs against: a full grounded model, or
-/// — the streaming pipeline's synthesised-aggregate fast path — the shared
-/// base grounding plus the query's streamed [`AggregateExtension`].
-#[derive(Debug, Clone)]
+/// The grounding a query actually runs against: the reference grounder's
+/// materialised model, the shared streamed base grounding, or — the
+/// streaming pipeline's synthesised-aggregate fast path — that base plus
+/// the query's streamed [`AggregateExtension`].
+#[derive(Debug)]
 enum QueryGrounding {
-    /// A whole-model grounding.
-    Full(GroundedHandle),
+    /// The reference grounding of the whole effective model
+    /// ([`GroundingMode::Tuples`], and the row-wise reference path).
+    Reference(GroundedModel),
+    /// The engine's streamed base grounding.
+    Streamed(Arc<StreamedModel>),
     /// The engine's base grounding with one synthesised aggregate streamed
     /// on top (no re-grounding, no graph mutation).
     Extended {
@@ -174,53 +137,55 @@ enum QueryGrounding {
 }
 
 impl QueryGrounding {
-    /// The materialised model, when this grounding holds one.
-    fn as_model(&self) -> Option<&GroundedModel> {
+    /// The grounding as one whole model, or the base and extension it is
+    /// made of.
+    fn whole(&self) -> Result<&dyn GroundedValues, (&StreamedModel, &AggregateExtension)> {
         match self {
-            QueryGrounding::Full(handle) => handle.as_model(),
-            QueryGrounding::Extended { .. } => None,
+            QueryGrounding::Reference(model) => Ok(model),
+            QueryGrounding::Streamed(base) => Ok(base.as_ref()),
+            QueryGrounding::Extended { base, ext } => Err((base, ext)),
         }
     }
 }
 
 impl GroundedValues for QueryGrounding {
     fn graph(&self) -> &CausalGraph {
-        match self {
-            QueryGrounding::Full(handle) => handle.values().graph(),
-            QueryGrounding::Extended { base, .. } => &base.graph,
+        match self.whole() {
+            Ok(grounded) => grounded.graph(),
+            Err((base, _)) => &base.graph,
         }
     }
 
     fn value_of(&self, instance: &Instance, node: &crate::graph::GroundedAttr) -> Option<f64> {
-        match self {
-            QueryGrounding::Full(handle) => handle.values().value_of(instance, node),
-            QueryGrounding::Extended { base, ext } => ext
+        match self.whole() {
+            Ok(grounded) => grounded.value_of(instance, node),
+            Err((base, ext)) => ext
                 .value_of(instance, node)
                 .or_else(|| base.value_of(instance, node)),
         }
     }
 
     fn node_of(&self, attr: &str, key: &reldb::UnitKey) -> Option<crate::graph::NodeId> {
-        match self {
-            QueryGrounding::Full(handle) => handle.values().node_of(attr, key),
+        match self.whole() {
+            Ok(grounded) => grounded.node_of(attr, key),
             // The extension's would-be vertices are graph leaves that never
             // enter the base graph; node probes resolve against the base
             // (exactly the nodes a descendant walk can reach).
-            QueryGrounding::Extended { base, .. } => base.node_of(attr, key),
+            Err((base, _)) => base.node_of(attr, key),
         }
     }
 
     fn unit_nodes(&self, attr: &str, units: UnitRows<'_>) -> Vec<Option<crate::graph::NodeId>> {
-        match self {
-            QueryGrounding::Full(handle) => handle.values().unit_nodes(attr, units),
-            QueryGrounding::Extended { base, .. } => base.unit_nodes(attr, units),
+        match self.whole() {
+            Ok(grounded) => grounded.unit_nodes(attr, units),
+            Err((base, _)) => base.unit_nodes(attr, units),
         }
     }
 
     fn node_values(&self, instance: &Instance, nodes: &[crate::graph::NodeId]) -> Vec<Option<f64>> {
-        match self {
-            QueryGrounding::Full(handle) => handle.values().node_values(instance, nodes),
-            QueryGrounding::Extended { base, ext } => {
+        match self.whole() {
+            Ok(grounded) => grounded.node_values(instance, nodes),
+            Err((base, ext)) => {
                 let mut values = base.node_values(instance, nodes);
                 // Base nodes ground the extension's attribute only when a
                 // program aggregate shares its name; those read the
@@ -244,9 +209,9 @@ impl GroundedValues for QueryGrounding {
         attr: &str,
         units: UnitRows<'_>,
     ) -> Vec<Option<f64>> {
-        match self {
-            QueryGrounding::Full(handle) => handle.values().unit_values(instance, attr, units),
-            QueryGrounding::Extended { base, ext } => {
+        match self.whole() {
+            Ok(grounded) => grounded.unit_values(instance, attr, units),
+            Err((base, ext)) => {
                 let mut values = base.unit_values(instance, attr, units);
                 if attr == ext.attr {
                     for (value, derived) in values.iter_mut().zip(ext.unit_values(instance, units))
@@ -260,12 +225,12 @@ impl GroundedValues for QueryGrounding {
     }
 }
 
-/// A grounding-cache entry: the base/whole-model grounding under the empty
+/// A grounding-cache entry: the streamed base grounding under the empty
 /// rule key, or a query-synthesised aggregate extension under the rule's
 /// canonical rendering.
 #[derive(Debug, Clone)]
 enum CachedGrounding {
-    Handle(GroundedHandle),
+    Base(Arc<StreamedModel>),
     Extension(Arc<AggregateExtension>),
 }
 
@@ -414,7 +379,7 @@ impl CarlEngine {
             .lock_grounding_cache()
             .get(&(String::new(), self.instance_fingerprint))
         {
-            Some(CachedGrounding::Handle(GroundedHandle::Streamed(base))) => Some(Arc::clone(base)),
+            Some(CachedGrounding::Base(base)) => Some(Arc::clone(base)),
             _ => None,
         };
         if let Some(base) = warm_base {
@@ -426,7 +391,7 @@ impl CarlEngine {
                     .expect("fresh grounding cache lock")
                     .insert(
                         (String::new(), instance_fingerprint),
-                        CachedGrounding::Handle(GroundedHandle::Streamed(Arc::new(patched))),
+                        CachedGrounding::Base(Arc::new(patched)),
                     );
             }
         }
@@ -502,14 +467,13 @@ impl CarlEngine {
     }
 
     /// Ground the model (without any query-specific synthesis) on the
-    /// reference grounder ([`crate::ground::ground_with`]), in every
+    /// reference grounder ([`crate::ground::ground`]), in every
     /// [`GroundingMode`], into the materialised [`GroundedModel`] form.
     /// Useful for inspecting the grounded causal graph and for tests.
-    /// Bypasses the grounding-result cache but shares the engine's
-    /// secondary indexes. The production form is
+    /// Shares neither of the engine's caches. The production form is
     /// [`CarlEngine::ground_model_streamed`].
     pub fn ground_model(&self) -> CarlResult<GroundedModel> {
-        ground_with(&self.model, &self.instance, &self.eval_cache)
+        ground(&self.model, &self.instance)
     }
 
     /// Ground the model (without any query-specific synthesis) on the
@@ -639,9 +603,7 @@ impl CarlEngine {
     /// every streamed query).
     fn base_streamed(&self) -> CarlResult<Arc<StreamedModel>> {
         let key = (String::new(), self.instance_fingerprint);
-        if let Some(CachedGrounding::Handle(GroundedHandle::Streamed(base))) =
-            self.lock_grounding_cache().get(&key)
-        {
+        if let Some(CachedGrounding::Base(base)) = self.lock_grounding_cache().get(&key) {
             return Ok(Arc::clone(base));
         }
         // Ground outside the lock: grounding is pure, so a concurrent miss
@@ -651,10 +613,8 @@ impl CarlEngine {
             &self.instance,
             &self.eval_cache,
         )?);
-        self.lock_grounding_cache().insert(
-            key,
-            CachedGrounding::Handle(GroundedHandle::Streamed(Arc::clone(&base))),
-        );
+        self.lock_grounding_cache()
+            .insert(key, CachedGrounding::Base(Arc::clone(&base)));
         Ok(base)
     }
 
@@ -682,32 +642,22 @@ impl CarlEngine {
         Ok(ext)
     }
 
-    /// Ground `model` per the requested [`Grounding`] policy. For `Cached`,
-    /// the cache key combines the canonical rendering of the synthesised
-    /// rule (empty for the base program) with the instance fingerprint, so
-    /// repeated queries over the same instance skip re-grounding entirely.
-    /// `Fresh` grounds from scratch — the row-wise differential path uses
-    /// it so that a cache bug cannot mask itself by affecting both engines.
-    /// In `Tuples` mode the result cache is always bypassed (the reference
+    /// Ground `model` in grounding mode `mode`. [`GroundingMode::Tuples`]
+    /// grounds the whole model on the reference grounder, bypassing both
+    /// shared caches so a fault in one cannot mask itself (the reference
     /// exists to check answers, not to serve them fast). In the streaming
-    /// mode a synthesised rule never
-    /// re-grounds the whole model: the query runs as an
-    /// [`AggregateExtension`] over the shared base grounding.
+    /// mode the base grounding comes through the `(rule, fingerprint)`
+    /// result cache, and a synthesised rule never re-grounds the whole
+    /// model: the query runs as an [`AggregateExtension`] over the shared
+    /// base grounding.
     fn grounded_for(
         &self,
         model: &RelationalCausalModel,
         synthesized: Option<&AggregateRule>,
-        grounding: Grounding,
+        mode: GroundingMode,
     ) -> CarlResult<QueryGrounding> {
-        if grounding == Grounding::Fresh {
-            return Ok(QueryGrounding::Full(GroundedHandle::Model(Arc::new(
-                ground(model, &self.instance)?,
-            ))));
-        }
-        if self.grounding_mode == GroundingMode::Tuples {
-            return Ok(QueryGrounding::Full(GroundedHandle::Model(Arc::new(
-                ground_with(model, &self.instance, &self.eval_cache)?,
-            ))));
+        if mode == GroundingMode::Tuples {
+            return Ok(QueryGrounding::Reference(ground(model, &self.instance)?));
         }
         let base = self.base_streamed()?;
         match synthesized {
@@ -715,7 +665,7 @@ impl CarlEngine {
                 let ext = self.extension_for(&base, model, rule)?;
                 Ok(QueryGrounding::Extended { base, ext })
             }
-            None => Ok(QueryGrounding::Full(GroundedHandle::Streamed(base))),
+            None => Ok(QueryGrounding::Streamed(base)),
         }
     }
 
@@ -725,11 +675,11 @@ impl CarlEngine {
     }
 
     /// Steps 1–4 of `prepare`, up to (but excluding) peers, shared by the
-    /// dense and row-wise paths.
+    /// dense and row-wise paths; `mode` picks the grounder.
     fn prepare_inputs(
         &self,
         query: &CausalQuery,
-        grounding: Grounding,
+        mode: GroundingMode,
     ) -> CarlResult<PreparedInputs<'_>> {
         // 1. Unify treated and response units (§4.3), possibly synthesising
         //    an aggregate rule that also folds in the query's restriction.
@@ -741,10 +691,10 @@ impl CarlEngine {
             let mut program = self.model.program().clone();
             program.aggregates.push(rule.clone());
             let model = RelationalCausalModel::new(self.instance.schema().clone(), program)?;
-            let grounded = self.grounded_for(&model, Some(rule), grounding)?;
+            let grounded = self.grounded_for(&model, Some(rule), mode)?;
             (Cow::Owned(model), grounded)
         } else {
-            let grounded = self.grounded_for(&self.model, None, grounding)?;
+            let grounded = self.grounded_for(&self.model, None, mode)?;
             (Cow::Borrowed(&self.model), grounded)
         };
 
@@ -787,7 +737,7 @@ impl CarlEngine {
     /// Prepare a parsed query: unify, ground (through the grounding cache),
     /// detect covariates and build the columnar unit table.
     pub fn prepare(&self, query: &CausalQuery) -> CarlResult<PreparedQuery> {
-        let inputs = self.prepare_inputs(query, Grounding::Cached)?;
+        let inputs = self.prepare_inputs(query, self.grounding_mode)?;
         let treatment_attr = inputs.treatment_attr.as_str();
 
         // 5. Relational peers and covariates. When the response is a
@@ -817,7 +767,7 @@ impl CarlEngine {
                 Arc::clone(&shared),
                 &self.instance,
             ),
-            QueryGrounding::Full(_) => compute_peers_rows(
+            _ => compute_peers_rows(
                 &inputs.grounded,
                 treatment_attr,
                 &inputs.response_attr,
@@ -863,16 +813,15 @@ impl CarlEngine {
     }
 
     /// Prepare a parsed query on the legacy row-oriented reference path:
-    /// fresh grounding (no grounding cache), key-addressed peers and
+    /// the reference grounder (no shared cache), key-addressed peers and
     /// covariates from [`crate::rowwise`], row-built unit table. Reference
     /// implementation for the differential test harness; not used by
     /// production code.
     pub fn prepare_rowwise(&self, query: &CausalQuery) -> CarlResult<RowPreparedQuery> {
-        let inputs = self.prepare_inputs(query, Grounding::Fresh)?;
-        let grounded = inputs
-            .grounded
-            .as_model()
-            .expect("fresh groundings are materialised");
+        let inputs = self.prepare_inputs(query, GroundingMode::Tuples)?;
+        let QueryGrounding::Reference(grounded) = &inputs.grounded else {
+            unreachable!("the Tuples mode grounds on the reference grounder")
+        };
         let peers = compute_peers_rowwise(
             grounded,
             &inputs.treatment_attr,

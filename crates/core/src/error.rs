@@ -49,10 +49,8 @@ pub enum CarlError {
     /// The grounded causal graph contains a cycle.
     CyclicModel(String),
 
-    /// An internal grounding invariant was violated (e.g. an argument
-    /// signature symbol outside the interner + constant pseudo-symbol
-    /// range). Surfaced as a typed error instead of indexing dense
-    /// grounding storage out of bounds.
+    /// A grounding request that cannot be served as asked (e.g. patching
+    /// an epoch with a delta that is not attribute-patchable).
     Grounding(String),
 
     /// The unit table ended up empty (no units satisfied the query).

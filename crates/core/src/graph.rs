@@ -37,8 +37,7 @@ pub fn reset_grounded_attr_constructions() {
 }
 
 /// Interned identity of a grounded node: a dense `u32` issued by the
-/// grounding node table, keyed on `(attribute symbol, key-symbol
-/// signature)`. Hot paths (streamed grounding, incremental patching, peer
+/// grounding node table, keyed on `(attribute id, key signature)`. Hot paths (streamed grounding, incremental patching, peer
 /// discovery) pass these around instead of constructing string-keyed
 /// [`GroundedAttr`]s and re-fingerprinting them per probe.
 ///

@@ -11,32 +11,34 @@
 //! * [`ground_streaming`] is the production path. Each condition's register
 //!   tuples stream off the dense executor in order-preserving chunks
 //!   straight into the merge: rule rows fold into a grounded-node table
-//!   keyed by symbol signatures, aggregate rows into dense group tables
-//!   whose results land in per-attribute column sinks. The merge is a pure
+//!   keyed by one `u32` signature per key (its symbol, or the id of its
+//!   interned tuple), aggregate rows into dense group tables whose results
+//!   land in per-attribute column sinks. The merge is a pure
 //!   in-order fold, so a grounding is bit-identical under any
 //!   `RAYON_NUM_THREADS`. Statements the whole-program analysis proved
 //!   dead are skipped. [`ground_aggregate_extension`] streams one
 //!   query-synthesised aggregate over a shared base grounding, and
 //!   `patch_streamed` maintains derived values across attribute-only
 //!   commits.
-//! * [`ground_with`] is the reference: a small sequential loop over each
+//! * [`ground`] is the reference: a small sequential loop over each
 //!   condition's `Vec<Bindings>` answers, with per-answer substitution,
-//!   [`CausalGraph::add_node`] and [`CausalGraph::add_edge`]. It prunes
-//!   nothing and shares none of the production merge's machinery, so the
-//!   differential suites and the golden digests compare two independent
-//!   implementations of Definition 3.5.
+//!   [`CausalGraph::add_node`] and [`CausalGraph::add_edge`], on a fresh
+//!   index cache. It prunes nothing and shares none of the production
+//!   merge's machinery, so the differential suites and the golden digests
+//!   compare two independent implementations of Definition 3.5.
 
 use crate::error::{CarlError, CarlResult};
 use crate::graph::{CausalGraph, GroundedAttr, GroundedNodeId, NodeId};
 use crate::model::{RelationalCausalModel, TypedComparison};
 use crate::unit_table::FloatColumn;
-use carl_lang::{AggName, AggregateRule, ArgTerm, CausalRule, CompareOp};
+use carl_lang::{AggName, AggregateRule, ArgTerm, CompareOp};
 use reldb::symbols::{SymMap, SymSet};
 use reldb::{
     evaluate_filtered, AggFn, Bindings, ConjunctiveQuery, EqFilter, IndexCache, Instance, Sym,
     TupleAnswers, UnitKey, Value,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 /// The result of grounding a relational causal model against an instance:
 /// the grounded causal graph plus the derived values of aggregate attributes.
@@ -192,7 +194,7 @@ pub trait GroundedValues {
     /// The default probes the graph with a freshly built [`GroundedAttr`]
     /// (one string clone + content fingerprint per call). Groundings that
     /// retain an interned node table — notably [`StreamedModel`] — override
-    /// this to resolve through `(attribute id, key-symbol signature)`
+    /// this to resolve through `(attribute id, key signature)`
     /// without constructing or re-hashing a `GroundedAttr` at all, which is
     /// what keeps per-unit probes (peer discovery, incremental patching)
     /// off the allocator.
@@ -250,15 +252,6 @@ impl GroundedValues for GroundedModel {
     }
 }
 
-/// Ground `model` against `instance`, producing the grounded causal graph
-/// and derived aggregate values.
-///
-/// Runs the reference grounder ([`ground_with`]) with a fresh index cache,
-/// so secondary indexes built for the evaluation are discarded afterwards.
-pub fn ground(model: &RelationalCausalModel, instance: &Instance) -> CarlResult<GroundedModel> {
-    ground_with(model, instance, &IndexCache::with_fingerprint(0))
-}
-
 /// Split a rule's typed comparisons into equality filters the query planner
 /// can push into evaluation (probing attribute indexes and pinning checks
 /// to the step where their variables bind) and residual comparisons that
@@ -308,10 +301,10 @@ pub(crate) fn prep_condition(
 
 /// How one head/body argument is produced from an answer row.
 enum ArgSlot {
-    /// A constant from the rule text, with its resolved signature symbol
-    /// (the skeleton symbol when the value occurs in the skeleton, a
-    /// ground-local pseudo-symbol otherwise).
-    Const(u32, Value),
+    /// A constant from the rule text, with its symbol in the grounding's
+    /// [`KeySigs`] (the skeleton symbol when the value occurs in the
+    /// skeleton, a pseudo-symbol otherwise).
+    Const(Sym, Value),
     /// The value in this register slot.
     Slot(usize),
     /// The variable is not bound by the condition: resolving it is an
@@ -320,56 +313,19 @@ enum ArgSlot {
     Unbound(String),
 }
 
-/// Pseudo-symbols for constants the skeleton never interned: ids above the
-/// skeleton's symbol space, assigned per distinct value (under `Value`
-/// equality, consistent with the interner's own equivalence). Together with
-/// the skeleton symbols this makes every argument value of every rule
-/// expressible as one `u32`, so node identities and group keys are pure
-/// integer signatures.
-struct ConstSyms {
-    base: usize,
-    lookup: HashMap<Value, u32>,
-}
-
-impl ConstSyms {
-    fn new(interner_len: usize) -> Self {
-        Self {
-            base: interner_len,
-            lookup: HashMap::new(),
-        }
-    }
-
-    fn sym_of(&mut self, interner: &reldb::SymbolTable, value: &Value) -> u32 {
-        if let Some(sym) = interner.get(value) {
-            return u32::try_from(sym.index()).expect("symbol space fits u32");
-        }
-        if let Some(&sym) = self.lookup.get(value) {
-            return sym;
-        }
-        let sym = u32::try_from(self.base + self.lookup.len()).expect("symbol space fits u32");
-        self.lookup.insert(value.clone(), sym);
-        sym
-    }
-
-    /// Exclusive upper bound of the signature-symbol space minted so far
-    /// (interner symbols plus constant pseudo-symbols).
-    fn bound(&self) -> usize {
-        self.base + self.lookup.len()
-    }
-}
-
-/// Compile argument terms against an answer's slot layout.
+/// Compile argument terms against an answer's slot layout, minting
+/// pseudo-symbols in `keys` for constants the skeleton never interned.
 fn arg_slots(
     args: &[ArgTerm],
     answers: &TupleAnswers<'_>,
     interner: &reldb::SymbolTable,
-    consts: &mut ConstSyms,
+    keys: &mut KeySigs,
 ) -> Vec<ArgSlot> {
     args.iter()
         .map(|arg| match arg {
             ArgTerm::Const(c) => {
                 let value = crate::model::literal_to_value(c);
-                ArgSlot::Const(consts.sym_of(interner, &value), value)
+                ArgSlot::Const(keys.intern_value(interner, &value), value)
             }
             ArgTerm::Var(v) => match answers.slot_of(v) {
                 Some(slot) => ArgSlot::Slot(slot),
@@ -397,24 +353,6 @@ fn resolve_args(spec: &[ArgSlot], row: &[Sym], answers: &TupleAnswers<'_>) -> Ca
         .collect()
 }
 
-/// The signature symbol of one argument for a given row.
-fn arg_sig(arg: &ArgSlot, row: &[Sym]) -> CarlResult<u32> {
-    match arg {
-        ArgSlot::Const(sym, _) => Ok(*sym),
-        ArgSlot::Slot(s) => Ok(u32::try_from(row[*s].index()).expect("symbol space fits u32")),
-        ArgSlot::Unbound(v) => Err(unbound_error(v)),
-    }
-}
-
-/// Fill `out` with the full signature of a spec for a given row.
-fn sig_into(spec: &[ArgSlot], row: &[Sym], out: &mut Vec<u32>) -> CarlResult<()> {
-    out.clear();
-    for arg in spec {
-        out.push(arg_sig(arg, row)?);
-    }
-    Ok(())
-}
-
 /// The first unbound variable of a compiled spec, if any.
 fn first_unbound(spec: &[ArgSlot]) -> Option<&str> {
     spec.iter().find_map(|a| match a {
@@ -423,107 +361,237 @@ fn first_unbound(spec: &[ArgSlot]) -> Option<&str> {
     })
 }
 
-/// Bounds-check a signature symbol against the tracked symbol range
-/// (interner symbols + constant pseudo-symbols), surfacing a typed error
-/// instead of indexing dense grounding storage out of bounds.
-fn guard_sig(attr: &str, sig: u32, bound: usize) -> CarlResult<usize> {
-    let sig = sig as usize;
-    if sig >= bound {
-        return Err(CarlError::Grounding(format!(
-            "argument signature symbol {sig} of `{attr}` is outside the \
-             interner + constant pseudo-symbol range (bound {bound})"
-        )));
+/// A symbol as a key signature.
+fn sym_sig(sym: Sym) -> u32 {
+    u32::try_from(sym.index()).expect("symbol space fits u32")
+}
+
+/// Key signatures: every key of every grounded node as one `u32`, so node
+/// identities, aggregate groups and derived cells are plain array indexes.
+///
+/// A key's arguments are symbols: a value's skeleton symbol or, for a
+/// constant of the rule text the skeleton never interned, a pseudo-symbol
+/// past the skeleton's, one per distinct value (under `Value` equality,
+/// like the interner). A one-argument key is signed by its argument's
+/// symbol. Any other key — a relationship tuple, or the empty key — is
+/// interned here once and signed by its tuple id. Model validation gives
+/// every attribute one key arity, so within an attribute a signature names
+/// exactly one key; [`NodeTable`] asserts that arity.
+///
+/// A query extension layers a table over its base grounding's
+/// ([`KeySigs::over`]): it reads the base's symbols and tuples in place,
+/// through the base's shared node table, and mints what the base lacks
+/// above the base's ranges.
+#[derive(Debug, Clone, Default)]
+struct KeySigs {
+    /// The node table whose key table this one extends, if any.
+    parent: Option<Arc<NodeTable>>,
+    /// The first pseudo-symbol this table mints: past the skeleton's
+    /// symbols and every pseudo-symbol of `parent`.
+    first_const: usize,
+    /// Pseudo-symbols minted here, by value.
+    consts: HashMap<Value, Sym>,
+    /// The first tuple id this table mints (past `parent`'s).
+    first_tuple: usize,
+    /// Tuple ids minted here, by argument symbols.
+    tuple_ids: SymMap<Box<[Sym]>, u32>,
+    /// Tuple `first_tuple + i` has arguments
+    /// `tuple_args[tuple_ends[i - 1]..tuple_ends[i]]` (from 0 when `i = 0`).
+    tuple_args: Vec<Sym>,
+    tuple_ends: Vec<u32>,
+    /// Argument buffer reused by [`KeySigs::intern_row`].
+    scratch: Vec<Sym>,
+}
+
+impl KeySigs {
+    /// An empty table over a skeleton with `skeleton_syms` symbols.
+    fn new(skeleton_syms: usize) -> Self {
+        Self {
+            first_const: skeleton_syms,
+            ..Self::default()
+        }
     }
-    Ok(sig)
+
+    /// An empty table extending the key table of `parent`.
+    fn over(parent: Arc<NodeTable>) -> Self {
+        let keys = &parent.keys;
+        Self {
+            first_const: keys.first_const + keys.consts.len(),
+            first_tuple: keys.first_tuple + keys.tuple_ends.len(),
+            parent: Some(parent),
+            ..Self::default()
+        }
+    }
+
+    /// The key table this one extends, if any.
+    fn parent(&self) -> Option<&KeySigs> {
+        self.parent.as_deref().map(|nodes| &nodes.keys)
+    }
+
+    /// The symbol of a key value, if the skeleton or this table has one.
+    fn value_sym(&self, interner: &reldb::SymbolTable, value: &Value) -> Option<Sym> {
+        interner.get(value).or_else(|| self.const_sym(value))
+    }
+
+    /// The pseudo-symbol of a constant, if this table or a parent minted
+    /// one.
+    fn const_sym(&self, value: &Value) -> Option<Sym> {
+        match self.consts.get(value) {
+            Some(&sym) => Some(sym),
+            None => self.parent()?.const_sym(value),
+        }
+    }
+
+    /// The symbol of a key value, minting a pseudo-symbol on first sight of
+    /// a value the skeleton never interned.
+    fn intern_value(&mut self, interner: &reldb::SymbolTable, value: &Value) -> Sym {
+        if let Some(sym) = self.value_sym(interner, value) {
+            return sym;
+        }
+        let sym = Sym::from_index(self.first_const + self.consts.len());
+        self.consts.insert(value.clone(), sym);
+        sym
+    }
+
+    /// The signature of the key with argument symbols `args`, if it has
+    /// one: the one place a key becomes a signature.
+    fn sig(&self, args: &[Sym]) -> Option<u32> {
+        match args {
+            [sym] => Some(sym_sig(*sym)),
+            _ => match self.tuple_ids.get(args) {
+                Some(&id) => Some(id),
+                None => self.parent()?.sig(args),
+            },
+        }
+    }
+
+    /// [`KeySigs::sig`], interning a new tuple on first sight.
+    fn intern(&mut self, args: &[Sym]) -> u32 {
+        if let Some(sig) = self.sig(args) {
+            return sig;
+        }
+        let id = u32::try_from(self.first_tuple + self.tuple_ends.len()).expect("tuples fit u32");
+        self.tuple_args.extend_from_slice(args);
+        self.tuple_ends
+            .push(u32::try_from(self.tuple_args.len()).expect("tuple arguments fit u32"));
+        self.tuple_ids.insert(args.into(), id);
+        id
+    }
+
+    /// The signature of the key `spec` builds from `row`, interning it on
+    /// first sight.
+    fn intern_row(&mut self, spec: &[ArgSlot], row: &[Sym]) -> CarlResult<u32> {
+        let arg = |slot: &ArgSlot| match slot {
+            ArgSlot::Const(sym, _) => Ok(*sym),
+            ArgSlot::Slot(s) => Ok(row[*s]),
+            ArgSlot::Unbound(v) => Err(unbound_error(v)),
+        };
+        if let [one] = spec {
+            // One symbol, no argument buffer.
+            return Ok(self.intern(&[arg(one)?]));
+        }
+        let mut args = std::mem::take(&mut self.scratch);
+        args.clear();
+        for slot in spec {
+            args.push(arg(slot)?);
+        }
+        let sig = self.intern(&args);
+        self.scratch = args;
+        Ok(sig)
+    }
+
+    /// The signature of a key of values, if every value has a symbol and
+    /// the key was interned.
+    fn key_sig(&self, interner: &reldb::SymbolTable, key: &[Value]) -> Option<u32> {
+        if let [value] = key {
+            // One symbol, no argument buffer.
+            return self.sig(&[self.value_sym(interner, value)?]);
+        }
+        let args: Option<Vec<Sym>> = key.iter().map(|v| self.value_sym(interner, v)).collect();
+        self.sig(&args?)
+    }
+
+    /// Read the argument symbols of the key with signature `sig` in an
+    /// attribute of key arity `arity`.
+    fn with_args<R>(&self, arity: usize, sig: u32, read: impl FnOnce(&[Sym]) -> R) -> R {
+        if arity == 1 {
+            return read(&[Sym::from_index(sig as usize)]);
+        }
+        let mut table = self;
+        while (sig as usize) < table.first_tuple {
+            table = table
+                .parent()
+                .expect("tuple ids below a table's own come from its parent");
+        }
+        let i = sig as usize - table.first_tuple;
+        let start = if i == 0 {
+            0
+        } else {
+            table.tuple_ends[i - 1] as usize
+        };
+        read(&table.tuple_args[start..table.tuple_ends[i] as usize])
+    }
 }
 
 /// The ground-wide node table: graph-node ids memoised on
-/// `(attribute, argument-signature)` so a grounding referenced by several
+/// `(attribute id, key signature)` so a grounding referenced by several
 /// rules (e.g. `Score[p]` as the head of three rules and the source of an
 /// aggregate) resolves its values — and hashes a string-keyed
 /// [`GroundedAttr`] — exactly once across the whole merge.
 ///
-/// Single-argument references (the overwhelmingly common shape) memoise
-/// through a dense per-attribute array indexed by the signature symbol —
-/// one bounds check per row, no hashing at all. Other arities fall back to
-/// a symbol-keyed hash map probed without allocating.
-///
-/// The table also records every node's own signature ([`NodeSig`], 8 bytes
-/// per node), so a node id resolves back to its attribute and key symbol
-/// without reading its [`GroundedAttr`].
-#[derive(Debug, Clone, Default)]
+/// Each attribute's nodes sit in a dense array indexed by [`KeySigs`]
+/// signature: one bounds check per row, whatever the key's arity. The
+/// table owns the key table; the finished table is `Arc`-shared with
+/// patched epochs and read in place by query extensions. It also records every node's own signature
+/// ([`NodeSig`], 8 bytes per node), so a node id resolves back to its
+/// attribute and key without reading its [`GroundedAttr`].
+#[derive(Debug, Clone)]
 struct NodeTable {
     attr_ids: HashMap<String, usize>,
-    /// Attribute names by dense id.
-    names: Vec<String>,
-    /// `single[attr_id][sig]` → interned node id (dense,
-    /// [`GroundedNodeId::NONE`] = absent).
-    single: Vec<Vec<GroundedNodeId>>,
-    /// `multi[attr_id][full signature]` → interned node id (other arities).
-    multi: Vec<SymMap<Vec<u32>, GroundedNodeId>>,
-    /// Per graph node, in node order: its attribute id and signature.
+    /// Attribute names and key arities, by dense id.
+    attrs: Vec<(String, usize)>,
+    /// `ids[attr_id][sig]` → node id ([`GroundedNodeId::NONE`] = absent).
+    ids: Vec<Vec<GroundedNodeId>>,
+    /// Per graph node, in node order: its attribute id and key signature.
     sigs: Vec<NodeSig>,
-    /// Exclusive upper bound on valid signature symbols: the skeleton's
-    /// interner length plus the constant pseudo-symbols registered so far.
-    /// Guards the dense arrays — a signature past this bound would mean a
-    /// pseudo-symbol was allocated outside the tracked range, and must
-    /// surface as a typed [`CarlError::Grounding`] rather than index (or
-    /// resize) dense storage out of bounds.
-    sig_bound: usize,
-    /// Signature buffer reused by multi-argument probes.
-    sig_buf: Vec<u32>,
+    keys: KeySigs,
 }
 
-/// A grounded node's identity in the [`NodeTable`]: its attribute id and,
-/// for a single-argument node, its signature symbol ([`NodeSig::MULTI`]
-/// for other arities).
+/// A grounded node's identity in the [`NodeTable`]: its attribute id and
+/// key signature.
 #[derive(Debug, Clone, Copy)]
 struct NodeSig {
     attr: u32,
     sig: u32,
 }
 
-impl NodeSig {
-    /// The `sig` of a node whose key has other than one argument.
-    const MULTI: u32 = u32::MAX;
-}
-
 impl NodeTable {
-    /// The dense id of an attribute name (registering it on first use).
-    fn attr_id(&mut self, attr: &str) -> usize {
+    /// An empty table over a skeleton with `skeleton_syms` symbols.
+    fn new(skeleton_syms: usize) -> Self {
+        Self {
+            attr_ids: HashMap::new(),
+            attrs: Vec::new(),
+            ids: Vec::new(),
+            sigs: Vec::new(),
+            keys: KeySigs::new(skeleton_syms),
+        }
+    }
+
+    /// The dense id of attribute `attr`, whose keys have `arity` arguments
+    /// (registering it on first use).
+    fn attr_id(&mut self, attr: &str, arity: usize) -> usize {
         if let Some(&id) = self.attr_ids.get(attr) {
+            assert_eq!(
+                self.attrs[id].1, arity,
+                "attribute `{attr}` grounded with two key arities"
+            );
             return id;
         }
-        let id = self.attr_ids.len();
+        let id = self.attrs.len();
         self.attr_ids.insert(attr.to_string(), id);
-        self.names.push(attr.to_string());
-        self.single.push(Vec::new());
-        self.multi.push(SymMap::default());
+        self.attrs.push((attr.to_string(), arity));
+        self.ids.push(Vec::new());
         id
-    }
-
-    /// Append node `attr[key]` to the graph, recording its signature.
-    fn push_node(
-        &mut self,
-        graph: &mut CausalGraph,
-        attr: &str,
-        attr_id: usize,
-        sig: u32,
-        key: UnitKey,
-    ) -> NodeId {
-        let id = graph.push_node(GroundedAttr::new(attr, key));
-        debug_assert_eq!(id, self.sigs.len(), "the node table creates every node");
-        self.sigs.push(NodeSig {
-            attr: u32::try_from(attr_id).expect("attribute ids fit u32"),
-            sig,
-        });
-        id
-    }
-
-    /// Raise the valid-signature bound after compiling argument specs (the
-    /// only point where new constant pseudo-symbols can be minted).
-    fn set_sig_bound(&mut self, bound: usize) {
-        self.sig_bound = self.sig_bound.max(bound);
     }
 
     /// Read-only lookup of an attribute's dense id.
@@ -531,110 +599,78 @@ impl NodeTable {
         self.attr_ids.get(attr).copied()
     }
 
-    /// Read-only lookup of the node for a single-argument signature.
-    fn lookup_single(&self, attr_id: usize, sig: usize) -> Option<GroundedNodeId> {
-        match self.single[attr_id].get(sig) {
+    /// The key arity of an attribute.
+    fn arity(&self, attr_id: usize) -> usize {
+        self.attrs[attr_id].1
+    }
+
+    /// The signature of `key` as a key of attribute `attr_id`.
+    fn key_sig(&self, attr_id: usize, interner: &reldb::SymbolTable, key: &[Value]) -> Option<u32> {
+        (key.len() == self.arity(attr_id))
+            .then(|| self.keys.key_sig(interner, key))
+            .flatten()
+    }
+
+    /// The node of attribute `attr_id` keyed `key`, if any.
+    fn node_of_key(
+        &self,
+        attr_id: usize,
+        interner: &reldb::SymbolTable,
+        key: &[Value],
+    ) -> Option<NodeId> {
+        let sig = self.key_sig(attr_id, interner, key)?;
+        self.lookup(attr_id, sig).map(GroundedNodeId::index)
+    }
+
+    /// Read-only lookup of the node with signature `sig`.
+    fn lookup(&self, attr_id: usize, sig: u32) -> Option<GroundedNodeId> {
+        match self.ids[attr_id].get(sig as usize) {
             Some(&id) if id != GroundedNodeId::NONE => Some(id),
             _ => None,
         }
     }
 
-    /// Read-only lookup of the node for a full signature.
-    fn lookup_multi(&self, attr_id: usize, sig: &[u32]) -> Option<GroundedNodeId> {
-        self.multi[attr_id].get(sig).copied()
-    }
-
-    /// Check a dense signature index against the tracked symbol range.
-    fn checked_sig(&self, attr: &str, sig: u32) -> CarlResult<usize> {
-        guard_sig(attr, sig, self.sig_bound)
-    }
-
-    /// The node for a single-argument signature, appending one keyed
-    /// `attr[key()]` to the graph on first sight. This lookup-or-append is
-    /// the only way grounding creates nodes, so the table stays a complete
-    /// index of the graph and the graph never has to deduplicate.
-    fn intern_single(
+    /// The node with signature `sig`, appending one keyed `attr[key()]` to
+    /// the graph on first sight. This lookup-or-append is the only way
+    /// grounding creates nodes, so the table stays a complete index of the
+    /// graph and the graph never has to deduplicate.
+    fn intern(
         &mut self,
         graph: &mut CausalGraph,
-        attr: &str,
         attr_id: usize,
-        sig: usize,
+        sig: u32,
         key: impl FnOnce() -> CarlResult<UnitKey>,
     ) -> CarlResult<NodeId> {
-        let ids = &mut self.single[attr_id];
-        if sig >= ids.len() {
-            ids.resize(sig + 1, GroundedNodeId::NONE);
+        let ids = &mut self.ids[attr_id];
+        let slot = sig as usize;
+        if slot >= ids.len() {
+            ids.resize(slot + 1, GroundedNodeId::NONE);
         }
-        if ids[sig] != GroundedNodeId::NONE {
-            return Ok(ids[sig].index());
+        if ids[slot] != GroundedNodeId::NONE {
+            return Ok(ids[slot].index());
         }
-        let packed = u32::try_from(sig).expect("signature symbols fit u32");
-        let id = self.push_node(graph, attr, attr_id, packed, key()?);
-        self.single[attr_id][sig] = GroundedNodeId::from_node(id);
+        let id = graph.push_node(GroundedAttr::new(&self.attrs[attr_id].0, key()?));
+        debug_assert_eq!(id, self.sigs.len(), "the node table creates every node");
+        self.ids[attr_id][slot] = GroundedNodeId::from_node(id);
+        self.sigs.push(NodeSig {
+            attr: u32::try_from(attr_id).expect("attribute ids fit u32"),
+            sig,
+        });
         Ok(id)
     }
 
-    /// [`NodeTable::intern_single`] for a full (other-arity) signature.
-    fn intern_multi(
-        &mut self,
-        graph: &mut CausalGraph,
-        attr: &str,
-        attr_id: usize,
-        sig: &[u32],
-        key: impl FnOnce() -> CarlResult<UnitKey>,
-    ) -> CarlResult<NodeId> {
-        if let Some(&id) = self.multi[attr_id].get(sig) {
-            return Ok(id.index());
-        }
-        let id = self.push_node(graph, attr, attr_id, NodeSig::MULTI, key()?);
-        self.multi[attr_id].insert(sig.to_vec(), GroundedNodeId::from_node(id));
-        Ok(id)
-    }
-
-    /// The node of an aggregate head, whose group closed with signature
-    /// `sig` and key `key`. A head an earlier statement already grounded
-    /// (an aggregate of the same name) resolves to that node; later
-    /// aggregates and read-only extension lookups find it as a source.
-    fn intern_head(
-        &mut self,
-        graph: &mut CausalGraph,
-        attr: &str,
-        attr_id: usize,
-        sig: &SigKey,
-        key: UnitKey,
-    ) -> CarlResult<NodeId> {
-        match sig {
-            SigKey::Single(sig) => {
-                let sig = self.checked_sig(attr, *sig)?;
-                self.intern_single(graph, attr, attr_id, sig, || Ok(key))
-            }
-            SigKey::Multi(sig) => self.intern_multi(graph, attr, attr_id, sig, || Ok(key)),
-        }
-    }
-
-    /// The graph node for `attr` grounded with the row's argument values,
-    /// creating it on first sight.
+    /// The graph node for attribute `attr_id` grounded with the row's
+    /// argument values, creating it on first sight.
     fn node_id(
         &mut self,
         graph: &mut CausalGraph,
-        attr: &str,
         attr_id: usize,
         spec: &[ArgSlot],
         row: &[Sym],
         answers: &TupleAnswers<'_>,
     ) -> CarlResult<NodeId> {
-        let key = || resolve_args(spec, row, answers);
-        if let [arg] = spec {
-            let sig = self.checked_sig(attr, arg_sig(arg, row)?)?;
-            return self.intern_single(graph, attr, attr_id, sig, key);
-        }
-        // The signature buffer is reused across rows: a hit allocates
-        // nothing, a miss copies it into the table once.
-        let mut sig = std::mem::take(&mut self.sig_buf);
-        let id = sig_into(spec, row, &mut sig)
-            .and_then(|()| self.intern_multi(graph, attr, attr_id, &sig, key));
-        self.sig_buf = sig;
-        id
+        let sig = self.keys.intern_row(spec, row)?;
+        self.intern(graph, attr_id, sig, || resolve_args(spec, row, answers))
     }
 }
 
@@ -751,9 +787,12 @@ fn aggregates_in_order(model: &RelationalCausalModel) -> Vec<(usize, &AggregateR
     aggregates
 }
 
-/// Ground `model` against `instance` on the reference grounder, reusing
-/// (and lazily extending) the secondary indexes in `cache`. The cache must
-/// belong to `instance` (the engine keys it by [`Instance::fingerprint`]).
+/// Ground `model` against `instance` on the reference grounder, producing
+/// the grounded causal graph and derived aggregate values.
+///
+/// The evaluation builds its secondary indexes in a fresh cache that is
+/// discarded afterwards, so a fault in a cache the production path shares
+/// cannot hide itself by affecting both.
 ///
 /// A sequential loop over each condition's `Vec<Bindings>` answers:
 ///
@@ -767,11 +806,8 @@ fn aggregates_in_order(model: &RelationalCausalModel) -> Vec<(usize, &AggregateR
 /// It does no analysis pruning and shares nothing with the production
 /// merge of [`ground_streaming`], whose graph and values it reproduces
 /// node for node, edge for edge and bit for bit.
-pub fn ground_with(
-    model: &RelationalCausalModel,
-    instance: &Instance,
-    cache: &IndexCache,
-) -> CarlResult<GroundedModel> {
+pub fn ground(model: &RelationalCausalModel, instance: &Instance) -> CarlResult<GroundedModel> {
+    let cache = IndexCache::with_fingerprint(0);
     let schema = model.schema();
     let aggregates = aggregates_in_order(model);
     // Compile every condition before evaluating any, so compile errors
@@ -786,7 +822,7 @@ pub fn ground_with(
         .map(|(_, a)| prep_condition(model, &a.source.attr, &a.source.args, &a.condition))
         .collect::<CarlResult<Vec<_>>>()?;
     let answers = |prep: &PreppedCondition| -> CarlResult<Vec<Bindings>> {
-        let all = evaluate_filtered(cache, schema, instance, &prep.query, &prep.filters)?;
+        let all = evaluate_filtered(&cache, schema, instance, &prep.query, &prep.filters)?;
         Ok(all
             .into_iter()
             .filter(|b| comparisons_hold(&prep.residual, b, instance))
@@ -861,186 +897,123 @@ pub fn ground_with(
 /// Dense store of derived aggregate values — the streaming pipeline's
 /// replacement for [`GroundedModel::derived`].
 ///
-/// Values are keyed by `(attribute, argument signature)`: single-argument
-/// groundings (the overwhelmingly common shape) live in one
-/// [`FloatColumn`] + null-bitmap sink per attribute, indexed by the
-/// argument's signature symbol — the column's null bitmap marks signatures
-/// that never derived a value, so a lookup is one bounds check and one bit
-/// test instead of a sorted-map walk over string-keyed [`GroundedAttr`]s.
-/// Other arities fall back to a signature-keyed hash map. Constants outside
-/// the skeleton's interner resolve through the same pseudo-symbol table the
-/// merge used, so stores and lookups can never disagree.
+/// One [`FloatColumn`] + null-bitmap sink per aggregate-derived attribute,
+/// indexed by [`NodeTable`] attribute id and then by key signature: the
+/// column's null bitmap marks signatures that never derived a value, so a
+/// lookup is one bounds check and one bit test instead of a sorted-map walk
+/// over string-keyed [`GroundedAttr`]s.
 #[derive(Debug, Clone, Default)]
 struct DerivedStore {
-    attr_ids: HashMap<String, usize>,
-    /// `single[attr_id]` — dense signature-indexed value sink.
-    single: Vec<FloatColumn>,
-    /// `multi[attr_id]` — full-signature fallback for other arities.
-    multi: Vec<SymMap<Vec<u32>, f64>>,
-    /// Pseudo-symbols minted during the merge for constants the skeleton
-    /// never interned (the `ConstSyms` table, kept for lookups).
-    consts: HashMap<Value, u32>,
+    /// `columns[attr_id]`, present for attributes an aggregate derives.
+    columns: Vec<Option<FloatColumn>>,
 }
 
 impl DerivedStore {
-    /// The dense id of an attribute name (registering it on first use).
-    fn attr_id(&mut self, attr: &str) -> usize {
-        if let Some(&id) = self.attr_ids.get(attr) {
-            return id;
-        }
-        let id = self.attr_ids.len();
-        self.attr_ids.insert(attr.to_string(), id);
-        self.single.push(FloatColumn::new(attr));
-        self.multi.push(SymMap::default());
-        id
+    /// The column of an attribute, when an aggregate derives it.
+    fn column(&self, attr_id: usize) -> Option<&FloatColumn> {
+        self.columns.get(attr_id)?.as_ref()
     }
 
-    /// Store a derived value under a head signature.
-    fn set(&mut self, attr_id: usize, sig: &SigKey, value: f64) {
-        match sig {
-            SigKey::Single(sig) => self.single[attr_id].set(*sig as usize, value),
-            SigKey::Multi(sig) => {
-                self.multi[attr_id].insert(sig.clone(), value);
-            }
+    /// Register attribute `attr_id` (named `name`) as aggregate-derived.
+    fn register(&mut self, attr_id: usize, name: &str) {
+        if attr_id >= self.columns.len() {
+            self.columns.resize(attr_id + 1, None);
         }
+        self.columns[attr_id].get_or_insert_with(|| FloatColumn::new(name));
+    }
+
+    /// The derived value with signature `sig`, if any.
+    fn get(&self, attr_id: usize, sig: u32) -> Option<f64> {
+        self.column(attr_id)?.get(sig as usize)
+    }
+
+    /// Store a derived value of a registered attribute.
+    fn set(&mut self, attr_id: usize, sig: u32, value: f64) {
+        self.columns[attr_id]
+            .as_mut()
+            .expect("derived attribute registered")
+            .set(sig as usize, value);
     }
 
     /// Remove a derived value (the patch path's inverse of
     /// [`DerivedStore::set`]): the cell reverts to null, exactly as if the
     /// aggregate had never produced a value for this signature.
-    fn unset(&mut self, attr_id: usize, sig: &SigKey) {
-        match sig {
-            SigKey::Single(sig) => self.single[attr_id].unset(*sig as usize),
-            SigKey::Multi(sig) => {
-                self.multi[attr_id].remove(sig);
-            }
-        }
-    }
-
-    /// The signature symbol of a key value: its interner symbol, or the
-    /// pseudo-symbol the merge assigned to a non-interned constant.
-    fn sig_of(&self, interner: &reldb::SymbolTable, value: &Value) -> Option<u32> {
-        match interner.get(value) {
-            Some(sym) => Some(u32::try_from(sym.index()).expect("symbol space fits u32")),
-            None => self.consts.get(value).copied(),
-        }
-    }
-
-    /// The derived value of a grounded attribute, if any.
-    fn get(&self, interner: &reldb::SymbolTable, node: &GroundedAttr) -> Option<f64> {
-        self.get_key(interner, &node.attr, &node.key)
-    }
-
-    /// The derived value of `attr` for `key`, if any.
-    fn get_key(&self, interner: &reldb::SymbolTable, attr: &str, key: &[Value]) -> Option<f64> {
-        let &attr_id = self.attr_ids.get(attr)?;
-        if let [key] = key {
-            return self.single[attr_id].get(self.sig_of(interner, key)? as usize);
-        }
-        let sig: Option<Vec<u32>> = key.iter().map(|v| self.sig_of(interner, v)).collect();
-        self.multi[attr_id].get(&sig?).copied()
+    fn unset(&mut self, attr_id: usize, sig: u32) {
+        self.columns[attr_id]
+            .as_mut()
+            .expect("derived attribute registered")
+            .unset(sig as usize);
     }
 }
 
-/// The result of [`ground_streaming`]: the grounded causal graph plus the
-/// derived aggregate values in dense signature-indexed columns.
+/// The result of [`ground_streaming`]: the grounded causal graph, its node
+/// table and the derived aggregate values in dense signature-indexed
+/// columns.
 ///
 /// Semantically this is a [`GroundedModel`] — the graph is identical node
 /// for node and edge for edge, and [`StreamedModel::value_of`] returns
 /// bit-identical values — but derived values never pass through a sorted
 /// `GroundedAttr`-keyed map: aggregate answers streamed straight off the
-/// query executor into per-attribute [`FloatColumn`] sinks, which the unit
-/// table then reads by signature. The materialised form is what the
-/// reference grounder ([`ground_with`]) returns.
+/// query executor into per-attribute [`FloatColumn`] sinks. Every node has
+/// a `(attribute id, key signature)` identity, so the layers read nodes,
+/// derived cells and observed cells by signature; key-addressed probes
+/// resolve a key to its signature once. The materialised form is what the
+/// reference grounder ([`ground`]) returns.
 #[derive(Debug, Clone)]
 pub struct StreamedModel {
     /// The grounded relational causal graph `G(Φ_Δ)` (bit-identical to the
-    /// graph [`ground_with`] produces for the same inputs). Behind an
-    /// `Arc`: an attribute-only delta patch (`patch_streamed`) rewrites
-    /// derived *values* but never the graph, so patched epochs share one
-    /// graph allocation instead of deep-cloning it per commit.
-    pub graph: std::sync::Arc<CausalGraph>,
+    /// graph [`ground`] produces for the same inputs). Behind an `Arc`: an
+    /// attribute-only delta patch (`patch_streamed`) rewrites derived
+    /// *values* but never the graph, so patched epochs share one graph
+    /// allocation instead of deep-cloning it per commit.
+    pub graph: Arc<CausalGraph>,
+    /// Derived values, by node-table attribute id and key signature.
     derived: DerivedStore,
-    /// The `(attribute, signature)` → node memo of the merge, retained so
-    /// query-synthesised aggregate extensions can resolve their source
-    /// groundings to base-graph nodes without re-hashing [`GroundedAttr`]s.
+    /// The `(attribute, signature)` → node memo of the merge, with its key
+    /// table, retained so key probes and query-synthesised aggregate
+    /// extensions resolve to nodes without re-hashing [`GroundedAttr`]s.
     /// `Arc`-shared across patched epochs for the same reason as `graph`.
-    nodes: std::sync::Arc<NodeTable>,
+    nodes: Arc<NodeTable>,
     /// The skeleton this model was grounded against, retained for its
-    /// interner: [`StreamedModel::node_of`] resolves probe keys to symbol
-    /// signatures through it. The interner is append-only, so symbols stay
-    /// valid across the attribute-only epoch patches that share this model's
-    /// graph and node table.
-    skeleton: std::sync::Arc<reldb::Skeleton>,
-    /// Per node-table attribute id: its derived-store id, if an aggregate
-    /// derives values for it.
-    node_derived: Vec<Option<usize>>,
+    /// interner: key probes resolve values to symbols through it. The
+    /// interner is append-only, so symbols stay valid across the
+    /// attribute-only epoch patches that share this model's graph and node
+    /// table.
+    skeleton: Arc<reldb::Skeleton>,
 }
 
 impl StreamedModel {
-    /// Assemble a model from a finished merge.
-    fn new(
-        graph: CausalGraph,
-        derived: DerivedStore,
-        nodes: NodeTable,
-        skeleton: std::sync::Arc<reldb::Skeleton>,
-    ) -> Self {
-        let node_derived = nodes
-            .names
-            .iter()
-            .map(|name| derived.attr_ids.get(name).copied())
-            .collect();
-        Self {
-            graph: std::sync::Arc::new(graph),
-            derived,
-            nodes: std::sync::Arc::new(nodes),
-            skeleton,
-            node_derived,
-        }
-    }
-
     /// The observed or derived numeric value of a grounded attribute (the
     /// streamed equivalent of [`GroundedModel::value_of`]).
     pub fn value_of(&self, instance: &Instance, node: &GroundedAttr) -> Option<f64> {
-        if let Some(v) = self.derived.get(instance.skeleton().interner(), node) {
-            return Some(v);
-        }
-        instance.attribute_f64(&node.attr, &node.key)
+        self.derived_of(&node.attr, &node.key)
+            .or_else(|| instance.attribute_f64(&node.attr, &node.key))
+    }
+
+    /// The derived value of `attr[key]`, if an aggregate derived one.
+    fn derived_of(&self, attr: &str, key: &[Value]) -> Option<f64> {
+        let attr_id = self.nodes.lookup_attr(attr)?;
+        let column = self.derived.column(attr_id)?;
+        let sig = self.nodes.key_sig(attr_id, self.skeleton.interner(), key)?;
+        column.get(sig as usize)
     }
 
     /// The graph node grounding `attr` with `key`, resolved through the
     /// interned node table: attribute name → dense id (one hash on a plain
-    /// `&str`), key values → symbol signature, signature → node. No
+    /// `&str`), key values → signature, signature → node. No
     /// [`GroundedAttr`] is built and nothing is fingerprinted, so hot
     /// per-unit probes (peer discovery, dirty-cell patching) cost a couple
     /// of array reads.
     ///
     /// Sound because the node table is a *complete* index of the graph:
     /// the grounder creates every node — rule groundings and aggregate
-    /// heads alike — through the table's lookup-or-append, and every key value
-    /// of every node has a signature symbol (skeleton interner or merge
-    /// pseudo-symbol). A key that fails to resolve therefore names no node.
+    /// heads alike — through the table's lookup-or-append, and every key
+    /// of every node has a signature. A key that fails to resolve therefore
+    /// names no node.
     pub fn node_of(&self, attr: &str, key: &UnitKey) -> Option<NodeId> {
-        self.node_in(self.nodes.lookup_attr(attr)?, key)
-    }
-
-    /// [`StreamedModel::node_of`] for a resolved attribute id.
-    fn node_in(&self, attr_id: usize, key: &UnitKey) -> Option<NodeId> {
-        let interner = self.skeleton.interner();
-        if let [single] = key.as_slice() {
-            let sig = self.derived.sig_of(interner, single)? as usize;
-            return self
-                .nodes
-                .lookup_single(attr_id, sig)
-                .map(GroundedNodeId::index);
-        }
-        let sig: Option<Vec<u32>> = key
-            .iter()
-            .map(|v| self.derived.sig_of(interner, v))
-            .collect();
+        let attr_id = self.nodes.lookup_attr(attr)?;
         self.nodes
-            .lookup_multi(attr_id, &sig?)
-            .map(GroundedNodeId::index)
+            .node_of_key(attr_id, self.skeleton.interner(), key)
     }
 
     /// Whether some node of this grounding has attribute `attr`.
@@ -1062,66 +1035,61 @@ impl GroundedValues for StreamedModel {
         StreamedModel::node_of(self, attr, key)
     }
 
-    /// The nodes grounding `attr` for `units`: by key symbol through the
-    /// dense node table when the units carry symbols, by key otherwise.
+    /// The nodes grounding `attr` for `units`: by unit symbol (the key
+    /// signature of a one-argument key) when the units carry symbols, by
+    /// key otherwise.
     fn unit_nodes(&self, attr: &str, units: UnitRows<'_>) -> Vec<Option<NodeId>> {
-        let Some(attr_id) = self.nodes.lookup_attr(attr) else {
-            return vec![None; units.len()];
-        };
-        match units.syms {
-            // Unit symbols are skeleton symbols, below every constant
-            // pseudo-symbol of the merge.
-            Some(syms) => syms
+        match (self.nodes.lookup_attr(attr), units.syms) {
+            (None, _) => vec![None; units.len()],
+            (Some(attr_id), Some(syms)) if self.nodes.arity(attr_id) == 1 => syms
                 .iter()
-                .map(|s| {
-                    (s.index() < self.skeleton.interner().len())
-                        .then(|| self.nodes.lookup_single(attr_id, s.index()))
-                        .flatten()
+                .map(|&s| {
+                    self.nodes
+                        .lookup(attr_id, sym_sig(s))
                         .map(GroundedNodeId::index)
                 })
                 .collect(),
-            None => units
+            (Some(attr_id), _) => units
                 .keys
                 .iter()
-                .map(|key| self.node_in(attr_id, key))
+                .map(|key| {
+                    self.nodes
+                        .node_of_key(attr_id, self.skeleton.interner(), key)
+                })
                 .collect(),
         }
     }
 
     /// The observed or derived values of `nodes`, read through their
     /// recorded signatures: a derived column cell, else the instance's cell
-    /// for the node's key symbol, each attribute resolved once per call.
-    /// Equal to [`StreamedModel::value_of`] of each node's grounded
-    /// attribute; `instance` must be the instance this model grounds (or an
+    /// for the key's symbols, each attribute resolved once per call. Equal
+    /// to [`StreamedModel::value_of`] of each node's grounded attribute;
+    /// `instance` must be the instance this model grounds (or an
     /// attribute-only successor of it).
     fn node_values(&self, instance: &Instance, nodes: &[NodeId]) -> Vec<Option<f64>> {
-        let skeleton_syms = self.skeleton.interner().len();
-        let mut readers: Vec<Option<reldb::AttrReader<'_>>> = vec![None; self.nodes.names.len()];
+        let mut observed: Vec<Option<ObservedSource<'_>>> = vec![None; self.nodes.attrs.len()];
         nodes
             .iter()
             .map(|&node| {
                 let NodeSig { attr, sig } = self.nodes.sigs[node];
-                let (attr, sig) = (attr as usize, sig as usize);
-                if sig == NodeSig::MULTI as usize || sig >= skeleton_syms {
-                    // Other arities and constants absent from the skeleton
-                    // read by key.
-                    return self.value_of(instance, self.graph.node(node));
-                }
-                if let Some(v) =
-                    self.node_derived[attr].and_then(|d| self.derived.single[d].get(sig))
-                {
+                let attr = attr as usize;
+                if let Some(v) = self.derived.get(attr, sig) {
                     return Some(v);
                 }
-                readers[attr]
-                    .get_or_insert_with(|| instance.attribute_reader(&self.nodes.names[attr]))
-                    .at_sym(Sym::from_index(sig))
+                let (name, arity) = &self.nodes.attrs[attr];
+                let source =
+                    observed[attr].get_or_insert_with(|| ObservedSource::new(instance, name));
+                self.nodes
+                    .keys
+                    .with_args(*arity, sig, |args| source.cell(args))
+                    .unwrap_or_else(|| instance.attribute(name, &self.graph.node(node).key))
                     .and_then(Value::as_f64)
             })
             .collect()
     }
 
     /// The observed or derived values of `attr` for `units` (see
-    /// [`GroundedValues::unit_values`]), read by unit symbol or row.
+    /// [`GroundedValues::unit_values`]), read by unit symbol or by key.
     fn unit_values(
         &self,
         instance: &Instance,
@@ -1133,17 +1101,16 @@ impl GroundedValues for StreamedModel {
                 .keys
                 .iter()
                 .map(|key| {
-                    self.derived
-                        .get_key(instance.skeleton().interner(), attr, key)
+                    self.derived_of(attr, key)
                         .or_else(|| instance.attribute_f64(attr, key))
                 })
                 .collect();
         };
         let derived = self
-            .derived
-            .attr_ids
-            .get(attr)
-            .map(|&d| &self.derived.single[d]);
+            .nodes
+            .lookup_attr(attr)
+            .filter(|&attr_id| self.nodes.arity(attr_id) == 1)
+            .and_then(|attr_id| self.derived.column(attr_id));
         let reader = instance.attribute_reader(attr);
         syms.iter()
             .enumerate()
@@ -1158,13 +1125,6 @@ impl GroundedValues for StreamedModel {
             })
             .collect()
     }
-}
-
-/// A group/store key: the head argument signature of one aggregate group.
-#[derive(Debug, Clone)]
-enum SigKey {
-    Single(u32),
-    Multi(Vec<u32>),
 }
 
 /// Stream one condition's answers into a sink that can fail with a
@@ -1217,7 +1177,6 @@ struct RuleSpecs<'c> {
 /// over captured state: the row loop is the grounding hot path, and direct
 /// (alias-analysable) parameters let it optimise like a plain loop.
 fn merge_rule_batch(
-    rule: &CausalRule,
     specs: &RuleSpecs<'_>,
     nodes: &mut NodeTable,
     graph: &mut CausalGraph,
@@ -1228,16 +1187,9 @@ fn merge_rule_batch(
         if !specs.residual.hold(row, answers) {
             continue;
         }
-        let head_id = nodes.node_id(
-            graph,
-            &rule.head.attr,
-            specs.head_attr_id,
-            &specs.head_spec,
-            row,
-            answers,
-        )?;
-        for (body, (attr_id, spec)) in rule.body.iter().zip(&specs.body_specs) {
-            let body_id = nodes.node_id(graph, &body.attr, *attr_id, spec, row, answers)?;
+        let head_id = nodes.node_id(graph, specs.head_attr_id, &specs.head_spec, row, answers)?;
+        for (attr_id, spec) in &specs.body_specs {
+            let body_id = nodes.node_id(graph, *attr_id, spec, row, answers)?;
             edges.push((body_id as u32, head_id as u32));
         }
     }
@@ -1247,7 +1199,7 @@ fn merge_rule_batch(
 /// One aggregate group under construction in the streamed merge.
 struct SGroup {
     head_key: UnitKey,
-    sig: SigKey,
+    sig: u32,
     /// (source node, observed-or-derived value) per distinct source
     /// grounding, in first-seen order. The node is `None` only for
     /// read-only resolvers probing sources absent from their base graph —
@@ -1260,118 +1212,90 @@ struct AggSpecs<'c> {
     residual: RowComparisons<'c>,
     head_spec: Vec<ArgSlot>,
     source_spec: Vec<ArgSlot>,
+    /// The source attribute's observed cells.
+    observed: ObservedSource<'c>,
     /// Unbound-variable error to raise if any row survives (matching the
     /// lazy error semantics of per-binding substitution).
     spec_error: Option<String>,
 }
 
-/// The group and memo tables of one aggregate's streamed merge: dense on
-/// the single-argument fast paths, signature-keyed maps otherwise.
+impl<'c> AggSpecs<'c> {
+    /// Compile `agg`'s specs against the slot layout of `answers`,
+    /// minting constant pseudo-symbols in `keys`.
+    fn compile(
+        agg: &'c AggregateRule,
+        residual: &'c [TypedComparison],
+        answers: &TupleAnswers<'_>,
+        instance: &'c Instance,
+        keys: &mut KeySigs,
+    ) -> Self {
+        let interner = instance.skeleton().interner();
+        let head_spec = arg_slots(&agg.head_args, answers, interner, keys);
+        let source_spec = arg_slots(&agg.source.args, answers, interner, keys);
+        let spec_error = first_unbound(&head_spec)
+            .or_else(|| first_unbound(&source_spec))
+            .map(str::to_string);
+        Self {
+            residual: RowComparisons::compile(residual, answers, instance),
+            head_spec,
+            source_spec,
+            observed: ObservedSource::new(instance, &agg.source.attr),
+            spec_error,
+        }
+    }
+}
+
+/// The group and memo tables of one aggregate's streamed merge, all dense
+/// in key signatures.
 #[derive(Default)]
 struct AggTables {
     /// Groups in first-seen order.
     groups: Vec<SGroup>,
-    /// Single-argument heads: head signature → group index (dense).
-    group_dense: Vec<u32>,
-    /// Other arities: full head signature → group index.
-    group_map: SymMap<Vec<u32>, u32>,
-    /// `(group, source-signature)` dedup, packed into one u64 on the
-    /// single-argument fast path.
+    /// Head signature → group index ([`NO_GROUP`] = none yet).
+    group_of: Vec<u32>,
+    /// `(group, source signature)` pairs seen, packed into one u64.
     pair_seen: SymSet<u64>,
-    pair_seen_multi: SymSet<(u32, Vec<u32>)>,
-    /// Source-value memo by signature: 0 unknown, 1 none, 2 some.
+    /// Source-value memo by source signature: 0 unknown, 1 none, 2 some.
     sval_state: Vec<u8>,
     sval: Vec<f64>,
-    sval_map: SymMap<Vec<u32>, Option<f64>>,
-    head_sig_buf: Vec<u32>,
-    source_sig_buf: Vec<u32>,
 }
 
-/// How the unified aggregate fold ([`merge_agg_batch`]) resolves a distinct
-/// source grounding to a node identity and an (un-memoised) base value.
+/// How the unified aggregate fold ([`merge_agg_batch`]) signs keys and
+/// resolves a distinct source grounding to a node identity.
 ///
-/// The streamed cold merge *creates* graph nodes and reads its own
-/// partially built derived store; a query-synthesised extension resolves
-/// read-only against an immutable base grounding. Everything else — group
-/// discovery in first-seen order, `(group, source)` dedup, source-value
-/// memoisation — is shared, so the bit-identity invariant of the aggregate
-/// fold lives in exactly one row loop.
+/// The streamed cold merge *creates* graph nodes and signs keys in its own
+/// node table; a query-synthesised extension resolves read-only against an
+/// immutable base grounding and signs what the base lacks in its own key
+/// layer. Everything else — group discovery in first-seen order,
+/// `(group, source)` dedup, source-value memoisation — is shared, so the
+/// bit-identity invariant of the aggregate fold lives in exactly one row
+/// loop.
 trait SourceResolver {
-    /// Bounds-check a signature symbol against the tracked symbol range.
-    fn checked_sig(&self, attr: &str, sig: u32) -> CarlResult<usize>;
+    /// The key table the fold signs head and source keys in.
+    fn keys(&mut self) -> &mut KeySigs;
 
-    /// The source node of a single-signature grounding (created on first
-    /// sight by mutable resolvers, looked up read-only otherwise).
-    fn node_single(
+    /// The node of the source grounding with signature `sig` (created on
+    /// first sight, keyed `key()`, by mutable resolvers; looked up
+    /// read-only otherwise).
+    fn node(
         &mut self,
-        ssig: usize,
-        spec: &[ArgSlot],
-        row: &[Sym],
-        answers: &TupleAnswers<'_>,
+        sig: u32,
+        key: impl FnOnce() -> CarlResult<UnitKey>,
     ) -> CarlResult<Option<GroundedNodeId>>;
 
-    /// The source node of a full-signature grounding.
-    fn node_multi(
-        &mut self,
-        sig: &[u32],
-        spec: &[ArgSlot],
-        row: &[Sym],
-        answers: &TupleAnswers<'_>,
-    ) -> CarlResult<Option<GroundedNodeId>>;
-
-    /// The un-memoised observed-or-derived value of a single-signature
-    /// source grounding (the fold caches the result per signature).
-    fn value_single(
-        &mut self,
-        ssig: usize,
-        node: Option<GroundedNodeId>,
-        spec: &[ArgSlot],
-        row: &[Sym],
-        answers: &TupleAnswers<'_>,
-    ) -> CarlResult<Option<f64>>;
-
-    /// The un-memoised value of a full-signature source grounding.
-    fn value_multi(
-        &mut self,
-        sig: &[u32],
-        node: Option<GroundedNodeId>,
-        spec: &[ArgSlot],
-        row: &[Sym],
-        answers: &TupleAnswers<'_>,
-    ) -> CarlResult<Option<f64>>;
+    /// The source attribute's derived column, when an earlier aggregate
+    /// derives it.
+    fn derived(&self) -> Option<&FloatColumn>;
 }
 
-/// The observed numeric value of a source grounding, read from its
-/// attribute's `source` view by the signature's symbols. A signature past
-/// the skeleton's symbols (a constant pseudo-symbol) names no unit of the
-/// skeleton and reads `source.attr` by `key()`.
-fn observed_by_sig(
-    source: &ObservedSource<'_>,
-    sig: &[u32],
-    key: impl FnOnce() -> CarlResult<UnitKey>,
-) -> CarlResult<Option<f64>> {
-    let value = match sig {
-        [s] if (*s as usize) < source.skeleton_syms => {
-            source.reader.at_sym(Sym::from_index(*s as usize))
-        }
-        _ if sig.iter().all(|&s| (s as usize) < source.skeleton_syms) => {
-            let syms: Vec<Sym> = sig.iter().map(|&s| Sym::from_index(s as usize)).collect();
-            source.reader.at_syms(&syms)
-        }
-        _ => source.instance.attribute(source.attr, &key()?),
-    };
-    Ok(value.and_then(Value::as_f64))
-}
-
-/// An aggregate source attribute's observed cells, resolved once per
-/// aggregate.
+/// An attribute's observed cells, resolved once.
 #[derive(Clone, Copy)]
 struct ObservedSource<'a> {
     attr: &'a str,
     reader: reldb::AttrReader<'a>,
     instance: &'a Instance,
-    /// Number of skeleton symbols: signatures below it are skeleton
-    /// symbols, the rest constant pseudo-symbols.
+    /// Number of skeleton symbols: symbols below it are skeleton symbols,
+    /// the rest constant pseudo-symbols.
     skeleton_syms: usize,
 }
 
@@ -1384,180 +1308,95 @@ impl<'a> ObservedSource<'a> {
             skeleton_syms: instance.skeleton().interner().len(),
         }
     }
+
+    /// The observed cell of the grounding whose key has argument symbols
+    /// `args`, read by those symbols; `None` when a pseudo-symbol, which
+    /// names no unit of the skeleton, makes the key readable only by value.
+    fn cell(&self, args: &[Sym]) -> Option<Option<&'a Value>> {
+        args.iter()
+            .all(|s| s.index() < self.skeleton_syms)
+            .then(|| self.reader.at_syms(args))
+    }
+
+    /// The observed numeric value of the grounding whose key has argument
+    /// symbols `args`: its [`ObservedSource::cell`], else read by `key()`.
+    fn value(
+        &self,
+        args: &[Sym],
+        key: impl FnOnce() -> CarlResult<UnitKey>,
+    ) -> CarlResult<Option<f64>> {
+        let value = match self.cell(args) {
+            Some(cell) => cell,
+            None => self.instance.attribute(self.attr, &key()?),
+        };
+        Ok(value.and_then(Value::as_f64))
+    }
 }
 
-/// The streamed cold merge's resolver: source nodes are created in the
-/// grounding's own graph/node table, values read from its partially built
-/// derived store (aggregates-over-aggregates) with an instance fallback.
-struct MergeSources<'a, 'b> {
-    source_attr: &'a str,
+/// The streamed cold merge's resolver: keys are signed and source nodes
+/// created in the grounding's own node table and graph; derived values
+/// come from its partially built store (aggregates over aggregates).
+struct MergeSources<'b> {
     source_attr_id: usize,
-    /// Derived-store id of the source attribute, when an earlier aggregate
+    /// The source attribute's derived column, when an earlier aggregate
     /// derived values for it.
-    source_store_id: Option<usize>,
-    store: &'b DerivedStore,
-    observed: ObservedSource<'a>,
+    derived: Option<&'b FloatColumn>,
     nodes: &'b mut NodeTable,
     graph: &'b mut CausalGraph,
 }
 
-impl SourceResolver for MergeSources<'_, '_> {
-    fn checked_sig(&self, attr: &str, sig: u32) -> CarlResult<usize> {
-        self.nodes.checked_sig(attr, sig)
+impl SourceResolver for MergeSources<'_> {
+    fn keys(&mut self) -> &mut KeySigs {
+        &mut self.nodes.keys
     }
 
-    fn node_single(
+    fn node(
         &mut self,
-        _ssig: usize,
-        spec: &[ArgSlot],
-        row: &[Sym],
-        answers: &TupleAnswers<'_>,
+        sig: u32,
+        key: impl FnOnce() -> CarlResult<UnitKey>,
     ) -> CarlResult<Option<GroundedNodeId>> {
-        let id = self.nodes.node_id(
-            self.graph,
-            self.source_attr,
-            self.source_attr_id,
-            spec,
-            row,
-            answers,
-        )?;
+        let id = self
+            .nodes
+            .intern(self.graph, self.source_attr_id, sig, key)?;
         Ok(Some(GroundedNodeId::from_node(id)))
     }
 
-    fn node_multi(
-        &mut self,
-        _sig: &[u32],
-        spec: &[ArgSlot],
-        row: &[Sym],
-        answers: &TupleAnswers<'_>,
-    ) -> CarlResult<Option<GroundedNodeId>> {
-        self.node_single(0, spec, row, answers)
-    }
-
-    fn value_single(
-        &mut self,
-        ssig: usize,
-        node: Option<GroundedNodeId>,
-        _spec: &[ArgSlot],
-        _row: &[Sym],
-        _answers: &TupleAnswers<'_>,
-    ) -> CarlResult<Option<f64>> {
-        if let Some(v) = self
-            .source_store_id
-            .and_then(|id| self.store.single[id].get(ssig))
-        {
-            return Ok(Some(v));
-        }
-        let sig = u32::try_from(ssig).expect("signature symbols fit u32");
-        self.observed_value(&[sig], node)
-    }
-
-    fn value_multi(
-        &mut self,
-        sig: &[u32],
-        node: Option<GroundedNodeId>,
-        _spec: &[ArgSlot],
-        _row: &[Sym],
-        _answers: &TupleAnswers<'_>,
-    ) -> CarlResult<Option<f64>> {
-        if let Some(v) = self
-            .source_store_id
-            .and_then(|id| self.store.multi[id].get(sig).copied())
-        {
-            return Ok(Some(v));
-        }
-        self.observed_value(sig, node)
+    fn derived(&self) -> Option<&FloatColumn> {
+        self.derived
     }
 }
 
-impl MergeSources<'_, '_> {
-    /// The observed value of the source node with signature `sig`.
-    fn observed_value(&self, sig: &[u32], node: Option<GroundedNodeId>) -> CarlResult<Option<f64>> {
-        let node = node.expect("merge resolver creates every source node");
-        observed_by_sig(&self.observed, sig, || {
-            Ok(self.graph.node(node.index()).key.clone())
-        })
-    }
-}
-
-/// A query-synthesised extension's resolver: source nodes are looked up
-/// read-only in the immutable base grounding's node table (sources absent
-/// from the base graph contribute their value but no node), values read
-/// from the base's derived sinks with an instance fallback.
+/// A query-synthesised extension's resolver: keys the base grounding lacks
+/// are signed in the extension's own layer, source nodes are looked up
+/// read-only in the immutable base node table (sources absent from the
+/// base graph contribute their value but no node), derived values come
+/// from the base's sinks.
 struct ExtensionSources<'a> {
+    keys: &'a mut KeySigs,
+    base: &'a NodeTable,
     /// The base node table's id for the source attribute, if it ever
     /// grounded one.
-    source_node_attr: Option<usize>,
-    source_store_id: Option<usize>,
-    base: &'a StreamedModel,
-    observed: ObservedSource<'a>,
-    /// Signature bound at this batch (the extension mints constant
-    /// pseudo-symbols on top of the base's, so the bound is per-batch).
-    sig_bound: usize,
+    source_attr_id: Option<usize>,
+    derived: Option<&'a FloatColumn>,
 }
 
 impl SourceResolver for ExtensionSources<'_> {
-    fn checked_sig(&self, attr: &str, sig: u32) -> CarlResult<usize> {
-        guard_sig(attr, sig, self.sig_bound)
+    fn keys(&mut self) -> &mut KeySigs {
+        self.keys
     }
 
-    fn node_single(
+    fn node(
         &mut self,
-        ssig: usize,
-        _spec: &[ArgSlot],
-        _row: &[Sym],
-        _answers: &TupleAnswers<'_>,
+        sig: u32,
+        _key: impl FnOnce() -> CarlResult<UnitKey>,
     ) -> CarlResult<Option<GroundedNodeId>> {
         Ok(self
-            .source_node_attr
-            .and_then(|aid| self.base.nodes.lookup_single(aid, ssig)))
+            .source_attr_id
+            .and_then(|attr_id| self.base.lookup(attr_id, sig)))
     }
 
-    fn node_multi(
-        &mut self,
-        sig: &[u32],
-        _spec: &[ArgSlot],
-        _row: &[Sym],
-        _answers: &TupleAnswers<'_>,
-    ) -> CarlResult<Option<GroundedNodeId>> {
-        Ok(self
-            .source_node_attr
-            .and_then(|aid| self.base.nodes.lookup_multi(aid, sig)))
-    }
-
-    fn value_single(
-        &mut self,
-        ssig: usize,
-        _node: Option<GroundedNodeId>,
-        spec: &[ArgSlot],
-        row: &[Sym],
-        answers: &TupleAnswers<'_>,
-    ) -> CarlResult<Option<f64>> {
-        if let Some(v) = self
-            .source_store_id
-            .and_then(|id| self.base.derived.single[id].get(ssig))
-        {
-            return Ok(Some(v));
-        }
-        let sig = u32::try_from(ssig).expect("signature symbols fit u32");
-        observed_by_sig(&self.observed, &[sig], || resolve_args(spec, row, answers))
-    }
-
-    fn value_multi(
-        &mut self,
-        sig: &[u32],
-        _node: Option<GroundedNodeId>,
-        spec: &[ArgSlot],
-        row: &[Sym],
-        answers: &TupleAnswers<'_>,
-    ) -> CarlResult<Option<f64>> {
-        if let Some(v) = self
-            .source_store_id
-            .and_then(|id| self.base.derived.multi[id].get(sig).copied())
-        {
-            return Ok(Some(v));
-        }
-        observed_by_sig(&self.observed, sig, || resolve_args(spec, row, answers))
+    fn derived(&self) -> Option<&FloatColumn> {
+        self.derived
     }
 }
 
@@ -1571,7 +1410,6 @@ impl SourceResolver for ExtensionSources<'_> {
 /// change to the fold's bit-identity discipline applies to both paths at
 /// once.
 fn merge_agg_batch<R: SourceResolver>(
-    agg: &AggregateRule,
     specs: &AggSpecs<'_>,
     resolver: &mut R,
     t: &mut AggTables,
@@ -1585,92 +1423,56 @@ fn merge_agg_batch<R: SourceResolver>(
             return Err(unbound_error(var));
         }
         // Group of the row's head signature.
-        let gi = if let [arg] = specs.head_spec.as_slice() {
-            let sig = resolver.checked_sig(&agg.name, arg_sig(arg, row)?)?;
-            if sig >= t.group_dense.len() {
-                t.group_dense.resize(sig + 1, NO_GROUP);
-            }
-            if t.group_dense[sig] == NO_GROUP {
-                t.group_dense[sig] = u32::try_from(t.groups.len()).expect("groups fit u32");
-                t.groups.push(SGroup {
-                    head_key: resolve_args(&specs.head_spec, row, answers)?,
-                    sig: SigKey::Single(u32::try_from(sig).expect("sig fits u32")),
-                    sources: Vec::new(),
-                });
-            }
-            t.group_dense[sig]
-        } else {
-            sig_into(&specs.head_spec, row, &mut t.head_sig_buf)?;
-            match t.group_map.get(t.head_sig_buf.as_slice()) {
-                Some(&gi) => gi,
-                None => {
-                    let gi = u32::try_from(t.groups.len()).expect("groups fit u32");
-                    t.groups.push(SGroup {
-                        head_key: resolve_args(&specs.head_spec, row, answers)?,
-                        sig: SigKey::Multi(t.head_sig_buf.clone()),
-                        sources: Vec::new(),
-                    });
-                    t.group_map.insert(t.head_sig_buf.clone(), gi);
-                    gi
-                }
-            }
-        };
+        let sig = resolver.keys().intern_row(&specs.head_spec, row)?;
+        let slot = sig as usize;
+        if slot >= t.group_of.len() {
+            t.group_of.resize(slot + 1, NO_GROUP);
+        }
+        if t.group_of[slot] == NO_GROUP {
+            t.group_of[slot] = u32::try_from(t.groups.len()).expect("groups fit u32");
+            t.groups.push(SGroup {
+                head_key: resolve_args(&specs.head_spec, row, answers)?,
+                sig,
+                sources: Vec::new(),
+            });
+        }
+        let gi = t.group_of[slot];
         // Distinct source groundings per group, with the value memoised
         // across groups on the source signature.
-        if let [arg] = specs.source_spec.as_slice() {
-            let ssig = resolver.checked_sig(&agg.source.attr, arg_sig(arg, row)?)?;
-            let packed = (u64::from(gi) << 32) | (ssig as u64);
-            if !t.pair_seen.insert(packed) {
-                continue;
-            }
-            let node = resolver.node_single(ssig, &specs.source_spec, row, answers)?;
-            if ssig >= t.sval_state.len() {
-                t.sval_state.resize(ssig + 1, 0);
-                t.sval.resize(ssig + 1, 0.0);
-            }
-            let value = match t.sval_state[ssig] {
-                2 => Some(t.sval[ssig]),
-                1 => None,
-                _ => {
-                    let value =
-                        resolver.value_single(ssig, node, &specs.source_spec, row, answers)?;
-                    match value {
-                        Some(v) => {
-                            t.sval_state[ssig] = 2;
-                            t.sval[ssig] = v;
-                        }
-                        None => t.sval_state[ssig] = 1,
-                    }
-                    value
-                }
-            };
-            t.groups[gi as usize].sources.push((node, value));
-        } else {
-            sig_into(&specs.source_spec, row, &mut t.source_sig_buf)?;
-            if !t.pair_seen_multi.insert((gi, t.source_sig_buf.clone())) {
-                continue;
-            }
-            // The buffer is lent to the resolver, so probe through a local
-            // move-out-and-back (`std::mem::take` keeps the allocation).
-            let source_sig = std::mem::take(&mut t.source_sig_buf);
-            let node = resolver.node_multi(&source_sig, &specs.source_spec, row, answers)?;
-            let value = match t.sval_map.get(source_sig.as_slice()) {
-                Some(&value) => value,
-                None => {
-                    let value = resolver.value_multi(
-                        &source_sig,
-                        node,
-                        &specs.source_spec,
-                        row,
-                        answers,
-                    )?;
-                    t.sval_map.insert(source_sig.clone(), value);
-                    value
-                }
-            };
-            t.source_sig_buf = source_sig;
-            t.groups[gi as usize].sources.push((node, value));
+        let ssig = resolver.keys().intern_row(&specs.source_spec, row)?;
+        if !t.pair_seen.insert((u64::from(gi) << 32) | u64::from(ssig)) {
+            continue;
         }
+        let key = || resolve_args(&specs.source_spec, row, answers);
+        let node = resolver.node(ssig, key)?;
+        let slot = ssig as usize;
+        if slot >= t.sval_state.len() {
+            t.sval_state.resize(slot + 1, 0);
+            t.sval.resize(slot + 1, 0.0);
+        }
+        let value = match t.sval_state[slot] {
+            2 => Some(t.sval[slot]),
+            1 => None,
+            _ => {
+                let value = match resolver.derived().and_then(|column| column.get(slot)) {
+                    Some(v) => Some(v),
+                    None => resolver
+                        .keys()
+                        .with_args(specs.source_spec.len(), ssig, |args| {
+                            specs.observed.value(args, key)
+                        })?,
+                };
+                match value {
+                    Some(v) => {
+                        t.sval_state[slot] = 2;
+                        t.sval[slot] = v;
+                    }
+                    None => t.sval_state[slot] = 1,
+                }
+                value
+            }
+        };
+        t.groups[gi as usize].sources.push((node, value));
     }
     Ok(())
 }
@@ -1689,7 +1491,7 @@ fn merge_agg_batch<R: SourceResolver>(
 /// Statements the whole-program analysis proved dead pass no row and are
 /// skipped. Chunk delivery is order-preserving (and the merge is a pure
 /// in-order fold), so the resulting graph and every derived value are
-/// bit-identical to the reference grounder's ([`ground_with`]) at any
+/// bit-identical to the reference grounder's ([`ground`]) at any
 /// `RAYON_NUM_THREADS` — the `streaming_vs_materialized`,
 /// `parallel_grounding` and `graph_golden` suites pin this.
 pub fn ground_streaming(
@@ -1722,8 +1524,7 @@ pub fn ground_streaming(
     }
 
     let interner = instance.skeleton().interner();
-    let mut consts = ConstSyms::new(interner.len());
-    let mut nodes = NodeTable::default();
+    let mut nodes = NodeTable::new(interner.len());
     let mut graph = CausalGraph::new();
     // Every edge of the ground, in insertion order, folded into the graph
     // once both phases are done.
@@ -1746,19 +1547,12 @@ pub fn ground_streaming(
             |answers| {
                 if specs.is_none() {
                     let residual = RowComparisons::compile(&prep.residual, answers, instance);
-                    let head_spec = arg_slots(&rule.head.args, answers, interner, &mut consts);
-                    let head_attr_id = nodes.attr_id(&rule.head.attr);
-                    let body_specs: Vec<(usize, Vec<ArgSlot>)> = rule
-                        .body
-                        .iter()
-                        .map(|b| {
-                            (
-                                nodes.attr_id(&b.attr),
-                                arg_slots(&b.args, answers, interner, &mut consts),
-                            )
-                        })
-                        .collect();
-                    nodes.set_sig_bound(consts.bound());
+                    let mut compile = |attr: &carl_lang::AttrRef| {
+                        let spec = arg_slots(&attr.args, answers, interner, &mut nodes.keys);
+                        (nodes.attr_id(&attr.attr, attr.args.len()), spec)
+                    };
+                    let (head_attr_id, head_spec) = compile(&rule.head);
+                    let body_specs = rule.body.iter().map(compile).collect();
                     specs = Some(RuleSpecs {
                         residual,
                         head_spec,
@@ -1767,7 +1561,7 @@ pub fn ground_streaming(
                     });
                 }
                 let specs = specs.as_ref().expect("specs compiled above");
-                merge_rule_batch(rule, specs, &mut nodes, &mut graph, &mut edges, answers)
+                merge_rule_batch(specs, &mut nodes, &mut graph, &mut edges, answers)
             },
         )?;
     }
@@ -1778,12 +1572,6 @@ pub fn ground_streaming(
         if model.aggregate_is_dead(*agg_idx) {
             continue; // dead aggregate: no row can survive its condition
         }
-        // The store id of the *source* attribute, when an earlier aggregate
-        // derived values for it (aggregates over aggregates; topological
-        // order guarantees those values are complete by now).
-        let source_store_id = store.attr_ids.get(&agg.source.attr).copied();
-        let observed = ObservedSource::new(instance, &agg.source.attr);
-
         let mut tables = AggTables::default();
         let mut specs: Option<AggSpecs<'_>> = None;
         let mut source_attr_id = 0;
@@ -1795,46 +1583,37 @@ pub fn ground_streaming(
             &prep.filters,
             |answers| {
                 if specs.is_none() {
-                    let residual = RowComparisons::compile(&prep.residual, answers, instance);
-                    let head_spec = arg_slots(&agg.head_args, answers, interner, &mut consts);
-                    let source_spec = arg_slots(&agg.source.args, answers, interner, &mut consts);
-                    source_attr_id = nodes.attr_id(&agg.source.attr);
-                    nodes.set_sig_bound(consts.bound());
-                    let spec_error = first_unbound(&head_spec)
-                        .or_else(|| first_unbound(&source_spec))
-                        .map(str::to_string);
-                    specs = Some(AggSpecs {
-                        residual,
-                        head_spec,
-                        source_spec,
-                        spec_error,
-                    });
+                    specs = Some(AggSpecs::compile(
+                        agg,
+                        &prep.residual,
+                        answers,
+                        instance,
+                        &mut nodes.keys,
+                    ));
+                    source_attr_id = nodes.attr_id(&agg.source.attr, agg.source.args.len());
                 }
                 let specs = specs.as_ref().expect("specs compiled above");
+                // The source's derived column, when an earlier aggregate
+                // derived values for it (aggregates over aggregates;
+                // topological order guarantees those values are complete).
                 let mut resolver = MergeSources {
-                    source_attr: &agg.source.attr,
                     source_attr_id,
-                    source_store_id,
-                    store: &store,
-                    observed,
+                    derived: store.column(source_attr_id),
                     nodes: &mut nodes,
                     graph: &mut graph,
                 };
-                merge_agg_batch(agg, specs, &mut resolver, &mut tables, answers)
+                merge_agg_batch(specs, &mut resolver, &mut tables, answers)
             },
         )?;
 
         let agg_fn = agg_fn_of(agg.agg);
-        let head_attr_id = store.attr_id(&agg.name);
-        let head_node_attr = nodes.attr_id(&agg.name);
+        let head_attr_id = nodes.attr_id(&agg.name, agg.head_args.len());
+        store.register(head_attr_id, &agg.name);
         for group in tables.groups {
-            let head_id = nodes.intern_head(
-                &mut graph,
-                &agg.name,
-                head_node_attr,
-                &group.sig,
-                group.head_key,
-            )?;
+            // A head an earlier statement already grounded (an aggregate of
+            // the same name) resolves to that node.
+            let head_id =
+                nodes.intern(&mut graph, head_attr_id, group.sig, || Ok(group.head_key))?;
             let mut values = Vec::with_capacity(group.sources.len());
             for &(source_id, value) in &group.sources {
                 let source_id = source_id.expect("merge resolver creates every source node");
@@ -1844,22 +1623,21 @@ pub fn ground_streaming(
                 }
             }
             if let Some(v) = agg_fn.apply(&values) {
-                store.set(head_attr_id, &group.sig, v);
+                store.set(head_attr_id, group.sig, v);
             }
         }
     }
-    store.consts = consts.lookup;
     graph.fold_edges(&edges);
 
     if let Err(attr) = graph.topological_order() {
         return Err(CarlError::CyclicModel(attr));
     }
-    Ok(StreamedModel::new(
-        graph,
-        store,
-        nodes,
-        instance.skeleton_shared(),
-    ))
+    Ok(StreamedModel {
+        graph: Arc::new(graph),
+        derived: store,
+        nodes: Arc::new(nodes),
+        skeleton: instance.skeleton_shared(),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -2038,28 +1816,13 @@ impl PatchSafety {
     }
 }
 
-/// The [`SigKey`] of a head key, resolved through the same interner +
-/// constant pseudo-symbol tables the merge used (mirrors
-/// [`DerivedStore::get`]'s key handling).
-fn sig_key_of(
-    store: &DerivedStore,
-    interner: &reldb::SymbolTable,
-    key: &UnitKey,
-) -> Option<SigKey> {
-    if let [single] = key.as_slice() {
-        return Some(SigKey::Single(store.sig_of(interner, single)?));
-    }
-    let sig: Option<Vec<u32>> = key.iter().map(|v| store.sig_of(interner, v)).collect();
-    Some(SigKey::Multi(sig?))
-}
-
 /// Patch `base` (grounded from the *previous* epoch under `model`) into
 /// the grounding of `instance` (the *next* epoch), given that the two
 /// epochs differ only in the attribute cells listed in `changed` and that
 /// [`PatchSafety::delta_patchable`] held for the touched attributes.
 ///
-/// The graph, node table and constant pseudo-symbols carry over untouched
-/// — the eligibility check proved the structure identical. What can change
+/// The graph and node table (with its key table) carry over untouched —
+/// the eligibility check proved the structure identical. What can change
 /// are derived aggregate values, maintained by incremental view
 /// maintenance: for each aggregate in the same topological order the cold
 /// merge uses, the dirty cells of its source attribute locate their source
@@ -2067,7 +1830,7 @@ fn sig_key_of(
 /// insertion order == the cold merge's first-seen source order, so sums
 /// and averages refold in the bit-exact same sequence, with the same
 /// derived-before-observed lookup discipline), and heads whose value
-/// changed cascade as dirty cells of the derived attribute for
+/// changed cascade as dirty nodes of the derived attribute for
 /// aggregates-over-aggregates downstream.
 ///
 /// Observed (non-derived) values are never copied anywhere — the unit
@@ -2085,23 +1848,27 @@ pub(crate) fn patch_streamed(
 ) -> Option<StreamedModel> {
     use std::collections::BTreeSet;
 
-    let interner = instance.skeleton().interner();
     let mut patched = base.clone();
+    let nodes = Arc::clone(&patched.nodes);
 
-    // Dirty cells per attribute: seeded by the delta's observed-cell
-    // changes, extended by derived-value changes as aggregates cascade.
-    let mut dirty: BTreeMap<String, Vec<UnitKey>> = BTreeMap::new();
+    // Dirty nodes per node-table attribute: seeded by the delta's
+    // observed-cell changes (a cell with no node feeds no group and
+    // affects nothing derived), extended by derived-value changes as
+    // aggregates cascade.
+    let mut dirty: BTreeMap<usize, Vec<NodeId>> = BTreeMap::new();
     for (attr, key) in changed {
-        dirty
-            .entry((*attr).to_string())
-            .or_default()
-            .push((*key).clone());
+        if let Some(node) = patched.node_of(attr, key) {
+            dirty
+                .entry(nodes.sigs[node].attr as usize)
+                .or_default()
+                .push(node);
+        }
     }
 
     // Aggregates in the exact topological order `ground_streaming` merges
     // them in — the `registered` set reproduces its "derived lookups only
     // consult attributes an *earlier* aggregate registered" discipline.
-    let mut registered: BTreeSet<&str> = BTreeSet::new();
+    let mut registered: BTreeSet<usize> = BTreeSet::new();
     for (agg_idx, agg) in aggregates_in_order(model) {
         if model.aggregate_is_dead(agg_idx) {
             // The cold pipeline skips dead aggregates (they derive
@@ -2109,23 +1876,20 @@ pub(crate) fn patch_streamed(
             // attribute has no store entry to refold.
             continue;
         }
-        let head_store_id = *patched.derived.attr_ids.get(&agg.name)?;
-        let source_registered = registered.contains(agg.source.attr.as_str());
-        registered.insert(agg.name.as_str());
+        let head_attr = nodes.lookup_attr(&agg.name)?;
+        patched.derived.column(head_attr)?;
+        let source_attr = nodes.lookup_attr(&agg.source.attr);
+        let source_registered = source_attr.is_some_and(|a| registered.contains(&a));
+        registered.insert(head_attr);
 
         // Heads whose fold consumed a dirty source cell: the children of
-        // the dirty cells' source nodes. A dirty cell with no source node
-        // fed no group and affects nothing derived.
+        // the dirty source nodes.
         let mut heads: BTreeSet<usize> = BTreeSet::new();
-        if let Some(keys) = dirty.get(&agg.source.attr) {
-            for key in keys {
-                // Interned probe: no `GroundedAttr` construction or
-                // fingerprinting per dirty cell.
-                if let Some(sid) = patched.node_of(&agg.source.attr, key) {
-                    for &hid in patched.graph.children_of(sid) {
-                        if patched.graph.node(hid).attr == agg.name {
-                            heads.insert(hid);
-                        }
+        if let Some(sources) = source_attr.and_then(|a| dirty.get(&a)) {
+            for &sid in sources {
+                for &hid in patched.graph.children_of(sid) {
+                    if nodes.sigs[hid].attr as usize == head_attr {
+                        heads.insert(hid);
                     }
                 }
             }
@@ -2135,37 +1899,36 @@ pub(crate) fn patch_streamed(
         for hid in heads {
             let mut values = Vec::new();
             for &pid in patched.graph.parents_of(hid) {
-                let pnode = patched.graph.node(pid);
-                if pnode.attr != agg.source.attr {
+                let parent = nodes.sigs[pid];
+                if Some(parent.attr as usize) != source_attr {
                     // Parents this patch does not understand — give up and
                     // let the caller re-ground cold.
                     return None;
                 }
                 let v = if source_registered {
-                    patched.derived.get(interner, pnode)
+                    patched.derived.get(parent.attr as usize, parent.sig)
                 } else {
                     None
                 }
-                .or_else(|| instance.attribute_f64(&pnode.attr, &pnode.key));
+                .or_else(|| {
+                    let node = patched.graph.node(pid);
+                    instance.attribute_f64(&node.attr, &node.key)
+                });
                 if let Some(v) = v {
                     values.push(v);
                 }
             }
             let new = agg_fn.apply(&values);
-            let head_node = patched.graph.node(hid).clone();
-            let old = patched.derived.get(interner, &head_node);
+            let sig = nodes.sigs[hid].sig;
+            let old = patched.derived.get(head_attr, sig);
             if old.map(f64::to_bits) == new.map(f64::to_bits) {
                 continue;
             }
-            let sig = sig_key_of(&patched.derived, interner, &head_node.key)?;
             match new {
-                Some(v) => patched.derived.set(head_store_id, &sig, v),
-                None => patched.derived.unset(head_store_id, &sig),
+                Some(v) => patched.derived.set(head_attr, sig, v),
+                None => patched.derived.unset(head_attr, sig),
             }
-            dirty
-                .entry(agg.name.clone())
-                .or_default()
-                .push(head_node.key);
+            dirty.entry(head_attr).or_default().push(hid);
         }
     }
     Some(patched)
@@ -2184,96 +1947,90 @@ pub(crate) fn patch_streamed(
 /// synthesised aggregate the unifier folds the query's restriction into.
 /// This type holds everything that aggregate adds to the grounded model:
 /// the derived values (in the same dense [`FloatColumn`] + null-bitmap
-/// sinks the unit table reads by signature) and, per group, the base-graph
+/// sink the unit table reads by signature) and, per group, the base-graph
 /// node ids of its source groundings. The aggregate's would-be graph
 /// vertices are *leaves* — nothing consumes them except peer computation
 /// (which [`crate::peers::compute_peers_streamed`] answers from the group
 /// source lists) and the unit table's outcome column (answered from the
-/// sinks) — so the base graph is never cloned or mutated.
+/// sink) — so the base graph is never cloned or mutated. Keys are signed
+/// in a layer over the base's key table, which is shared, not copied.
 #[derive(Debug, Clone)]
 pub struct AggregateExtension {
     /// The synthesised aggregate attribute this extension derives.
     pub attr: String,
-    derived: DerivedStore,
+    /// The key arity of the aggregate's head.
+    arity: usize,
+    /// The base grounding's key table, plus what this extension minted.
+    keys: KeySigs,
+    /// Derived value per head signature.
+    values: FloatColumn,
+    /// Head signature → group index ([`NO_GROUP`] = none).
+    group_of: Vec<u32>,
     /// Per group, the interned base-graph node ids of its distinct source
     /// groundings (sources absent from the base graph contribute their
     /// value but no node — exactly the reachability a materialised
     /// grounding would give them, since such nodes have no in-edges).
     group_sources: Vec<Vec<GroundedNodeId>>,
-    /// Head signature → group index (dense for single-argument heads).
-    group_dense: Vec<u32>,
-    group_map: SymMap<Vec<u32>, u32>,
-    /// Whether heads are single-argument (selects the index above).
-    single_head: bool,
 }
 
 impl AggregateExtension {
     /// The derived value of `node`, when it is a grounding of this
     /// extension's aggregate.
     pub fn value_of(&self, instance: &Instance, node: &GroundedAttr) -> Option<f64> {
-        self.derived.get(instance.skeleton().interner(), node)
-    }
-
-    /// The group derived for `key`, if any.
-    pub(crate) fn group_of_key(
-        &self,
-        interner: &reldb::SymbolTable,
-        key: &UnitKey,
-    ) -> Option<usize> {
-        if self.single_head {
-            let [value] = key.as_slice() else { return None };
-            self.group_of_sig(self.derived.sig_of(interner, value)? as usize)
-        } else {
-            let sig: Option<Vec<u32>> = key
-                .iter()
-                .map(|v| self.derived.sig_of(interner, v))
-                .collect();
-            self.group_map.get(&sig?).map(|&g| g as usize)
+        if node.attr != self.attr {
+            return None;
         }
+        let sig = self.head_sig(instance.skeleton().interner(), &node.key)?;
+        self.values.get(sig as usize)
     }
 
-    /// The group of a single-argument head signature, if any.
-    fn group_of_sig(&self, sig: usize) -> Option<usize> {
-        match self.group_dense.get(sig) {
+    /// The head signature of `key`, if it has one.
+    fn head_sig(&self, interner: &reldb::SymbolTable, key: &[Value]) -> Option<u32> {
+        (key.len() == self.arity)
+            .then(|| self.keys.key_sig(interner, key))
+            .flatten()
+    }
+
+    /// The group of a head signature, if any.
+    fn group_of_sig(&self, sig: u32) -> Option<usize> {
+        match self.group_of.get(sig as usize) {
             Some(&g) if g != NO_GROUP => Some(g as usize),
             _ => None,
         }
     }
 
-    /// The group derived for each unit, in unit order: by unit symbol when
-    /// the units carry symbols and heads are single-argument, else by key.
+    /// The head signature of each unit, in unit order: its symbol when the
+    /// units carry symbols and heads have one argument, else its key's.
+    fn unit_sigs(&self, interner: &reldb::SymbolTable, units: UnitRows<'_>) -> Vec<Option<u32>> {
+        match units.syms.filter(|_| self.arity == 1) {
+            Some(syms) => syms.iter().map(|&s| Some(sym_sig(s))).collect(),
+            None => units
+                .keys
+                .iter()
+                .map(|key| self.head_sig(interner, key))
+                .collect(),
+        }
+    }
+
+    /// The group derived for each unit, in unit order.
     pub(crate) fn unit_groups(
         &self,
         interner: &reldb::SymbolTable,
         units: UnitRows<'_>,
     ) -> Vec<Option<usize>> {
-        match units.syms.filter(|_| self.single_head) {
-            Some(syms) => syms.iter().map(|s| self.group_of_sig(s.index())).collect(),
-            None => units
-                .keys
-                .iter()
-                .map(|key| self.group_of_key(interner, key))
-                .collect(),
-        }
+        self.unit_sigs(interner, units)
+            .into_iter()
+            .map(|sig| self.group_of_sig(sig?))
+            .collect()
     }
 
     /// This extension's derived value for each unit, in unit order (what
     /// [`AggregateExtension::value_of`] gives `attr[unit]`).
     pub(crate) fn unit_values(&self, instance: &Instance, units: UnitRows<'_>) -> Vec<Option<f64>> {
-        match units.syms.filter(|_| self.single_head) {
-            Some(syms) => syms
-                .iter()
-                .map(|s| self.derived.single[0].get(s.index()))
-                .collect(),
-            None => units
-                .keys
-                .iter()
-                .map(|key| {
-                    self.derived
-                        .get_key(instance.skeleton().interner(), &self.attr, key)
-                })
-                .collect(),
-        }
+        self.unit_sigs(instance.skeleton().interner(), units)
+            .into_iter()
+            .map(|sig| self.values.get(sig? as usize))
+            .collect()
     }
 
     /// Interned base-graph node ids of a group's sources.
@@ -2284,9 +2041,9 @@ impl AggregateExtension {
 
 /// Stream one query-synthesised aggregate over `base` (see
 /// [`AggregateExtension`]). `model` is the effective model carrying the
-/// synthesised rule; `agg` the rule itself. Signatures (including constant
-/// pseudo-symbols) continue the base grounding's symbol space, so source
-/// lookups in the base node memo and derived sinks can never disagree.
+/// synthesised rule; `agg` the rule itself. Keys are signed in a layer over
+/// the base grounding's key table, so source lookups in the base node
+/// table and derived sinks can never disagree.
 pub fn ground_aggregate_extension(
     base: &StreamedModel,
     model: &RelationalCausalModel,
@@ -2296,18 +2053,12 @@ pub fn ground_aggregate_extension(
 ) -> CarlResult<AggregateExtension> {
     let schema = model.schema();
     let prep = prep_condition(model, &agg.source.attr, &agg.source.args, &agg.condition)?;
-    let interner = instance.skeleton().interner();
-    let mut consts = ConstSyms {
-        base: interner.len(),
-        lookup: base.derived.consts.clone(),
-    };
-    let source_node_attr = base.nodes.lookup_attr(&agg.source.attr);
-    let source_store_id = base.derived.attr_ids.get(&agg.source.attr).copied();
-    let observed = ObservedSource::new(instance, &agg.source.attr);
+    let mut keys = KeySigs::over(Arc::clone(&base.nodes));
+    let source_attr_id = base.nodes.lookup_attr(&agg.source.attr);
+    let derived = source_attr_id.and_then(|id| base.derived.column(id));
 
     let mut tables = AggTables::default();
     let mut specs: Option<AggSpecs<'_>> = None;
-    let mut single_head = true;
     stream_condition(
         cache,
         schema,
@@ -2316,52 +2067,43 @@ pub fn ground_aggregate_extension(
         &prep.filters,
         |answers| {
             if specs.is_none() {
-                let residual = RowComparisons::compile(&prep.residual, answers, instance);
-                let head_spec = arg_slots(&agg.head_args, answers, interner, &mut consts);
-                let source_spec = arg_slots(&agg.source.args, answers, interner, &mut consts);
-                single_head = head_spec.len() == 1;
-                let spec_error = first_unbound(&head_spec)
-                    .or_else(|| first_unbound(&source_spec))
-                    .map(str::to_string);
-                specs = Some(AggSpecs {
-                    residual,
-                    head_spec,
-                    source_spec,
-                    spec_error,
-                });
+                specs = Some(AggSpecs::compile(
+                    agg,
+                    &prep.residual,
+                    answers,
+                    instance,
+                    &mut keys,
+                ));
             }
             let specs = specs.as_ref().expect("specs compiled above");
             let mut resolver = ExtensionSources {
-                source_node_attr,
-                source_store_id,
-                base,
-                observed,
-                sig_bound: consts.bound(),
+                keys: &mut keys,
+                base: &base.nodes,
+                source_attr_id,
+                derived,
             };
-            merge_agg_batch(agg, specs, &mut resolver, &mut tables, answers)
+            merge_agg_batch(specs, &mut resolver, &mut tables, answers)
         },
     )?;
 
     let agg_fn = agg_fn_of(agg.agg);
-    let mut derived = DerivedStore::default();
-    let attr_id = derived.attr_id(&agg.name);
+    let mut values = FloatColumn::new(&agg.name);
     let mut group_sources: Vec<Vec<GroundedNodeId>> = Vec::with_capacity(tables.groups.len());
     for group in tables.groups {
-        let values: Vec<f64> = group.sources.iter().filter_map(|&(_, v)| v).collect();
-        if let Some(v) = agg_fn.apply(&values) {
-            derived.set(attr_id, &group.sig, v);
+        let group_values: Vec<f64> = group.sources.iter().filter_map(|&(_, v)| v).collect();
+        if let Some(v) = agg_fn.apply(&group_values) {
+            values.set(group.sig as usize, v);
         }
         group_sources.push(group.sources.into_iter().filter_map(|(n, _)| n).collect());
     }
-    derived.consts = consts.lookup;
 
     Ok(AggregateExtension {
         attr: agg.name.clone(),
-        derived,
+        arity: agg.head_args.len(),
+        keys,
+        values,
+        group_of: tables.group_of,
         group_sources,
-        group_dense: tables.group_dense,
-        group_map: tables.group_map,
-        single_head,
     })
 }
 
@@ -2494,9 +2236,8 @@ mod tests {
         // Regression for the dense node table's `ids[sig]` indexing: a rule
         // argument constant the skeleton never interned gets a pseudo-symbol
         // *past the interner range*. The dense per-attribute arrays must
-        // grow to (bounds-checked) pseudo-signatures instead of indexing out
-        // of bounds — and the production grounder must agree with the
-        // reference.
+        // grow to pseudo-signatures instead of indexing out of bounds — and
+        // the production grounder must agree with the reference.
         let schema = RelationalSchema::review_example();
         let program = parse_program(
             r#"
@@ -2568,7 +2309,7 @@ mod tests {
         );
         let instance = Instance::review_example();
         let cache = IndexCache::for_instance(&instance);
-        let materialised = ground_with(&model, &instance, &cache).unwrap();
+        let materialised = ground(&model, &instance).unwrap();
         let streamed = ground_streaming(&model, &instance, &cache).unwrap();
         for graph in [&materialised.graph, &*streamed.graph] {
             let distinct: std::collections::HashSet<&GroundedAttr> =

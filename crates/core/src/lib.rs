@@ -84,8 +84,8 @@ pub use graph::{
     GroundedNodeId,
 };
 pub use ground::{
-    ground, ground_aggregate_extension, ground_streaming, ground_with, AggregateExtension,
-    GroundedModel, GroundedValues, PatchBlock, PatchSafety, StreamedModel, UnitRows,
+    ground, ground_aggregate_extension, ground_streaming, AggregateExtension, GroundedModel,
+    GroundedValues, PatchBlock, PatchSafety, StreamedModel, UnitRows,
 };
 pub use history::{check_history, digest_answer, HistoryEvent, HistoryLog, Violation};
 pub use model::RelationalCausalModel;

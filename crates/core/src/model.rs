@@ -255,12 +255,16 @@ impl RelationalCausalModel {
     /// The head arguments of an aggregate rule must be bound by its `WHERE`
     /// condition; the entity class at the position where the (single) head
     /// variable occurs determines the subject. For identity aggregates
-    /// (trivial condition) the subject is that of the source attribute.
+    /// (trivial condition) the subject is that of the source attribute. A
+    /// name defined more than once takes its first definition's subject;
+    /// the schema check then holds every later head to its arity.
     fn infer_aggregate_subjects(&mut self) -> CarlResult<()> {
         let aggregates = self.program.aggregates.clone();
         for agg in &aggregates {
             let subject = self.infer_subject_of_aggregate(agg)?;
-            self.aggregate_subjects.insert(agg.name.clone(), subject);
+            self.aggregate_subjects
+                .entry(agg.name.clone())
+                .or_insert(subject);
         }
         Ok(())
     }

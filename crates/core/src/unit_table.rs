@@ -148,9 +148,9 @@ impl FloatColumn {
     /// nulls as needed.
     ///
     /// Together with [`FloatColumn::get`] this turns a column into a dense
-    /// random-access *sink*: streaming grounding indexes cells by argument-
-    /// signature symbol and fills them in answer order, with the null
-    /// bitmap marking the signatures that never received a value.
+    /// random-access *sink*: streaming grounding indexes cells by key
+    /// signature and fills them in answer order, with the null bitmap
+    /// marking the signatures that never received a value.
     pub fn set(&mut self, i: usize, value: f64) {
         self.grow_to(i + 1);
         self.values[i] = value;

@@ -189,3 +189,37 @@ fn nis_grounding_matches_its_golden_digest() {
         (0x22e1c716e8ff26a0, 0x22e1c716e8ff26a0),
     );
 }
+
+/// Aggregates keyed by relationship tuples on REVIEWDATA: `SUM_PAIR` has a
+/// two-argument head over `Author`, and `AVG_PAIR` folds those
+/// tuple-keyed values back onto authors through a two-argument source.
+#[test]
+fn multi_argument_aggregates_match_their_golden_digest() {
+    const RULES: &str = r#"
+        SUM_PAIR[A, S] <= Score[S]       WHERE Author(A, S)
+        AVG_PAIR[A]    <= SUM_PAIR[A, S] WHERE Author(A, S)
+    "#;
+    let ds = generate_reviewdata(&ReviewConfig::small(5));
+    assert_golden(
+        "REVIEWDATA multi-argument aggregates",
+        &ds.instance,
+        &format!("{}{RULES}", ds.rules),
+        (0x2a8c63df825e29e0, 0x2a8c63df825e29e0),
+    );
+}
+
+/// An aggregate over an observed two-argument attribute: MIMIC's
+/// `Dose[D, P]`, keyed by `Given` tuples, folded onto patients.
+#[test]
+fn mimic_multi_argument_source_matches_its_golden_digest() {
+    let ds = generate_mimic(&MimicConfig::small(99));
+    assert_golden(
+        "MIMIC multi-argument source",
+        &ds.instance,
+        &format!(
+            "{}    AVG_Dose[P] <= Dose[D, P] WHERE Given(D, P)\n",
+            ds.rules
+        ),
+        (0x1de18a0b86bd56fa, 0x1de18a0b86bd56fa),
+    );
+}

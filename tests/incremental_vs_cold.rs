@@ -84,9 +84,20 @@ fn attribute_batch(rng: &mut SmallRng, papers: usize, authors: usize, epoch: u32
 /// same instance, and that the prepared unit table and peer map match
 /// column-bit for column-bit on the cascade query.
 fn assert_epoch_matches_cold(service: &SnapshotEngine, rules: &str) {
+    assert_queries_match_cold(service, rules, QUERIES, "AVG_AVG_Score[P] <= Prestige[A]?");
+}
+
+/// [`assert_epoch_matches_cold`] over `queries`, comparing the prepared
+/// unit table and peer map of `table_query`.
+fn assert_queries_match_cold(
+    service: &SnapshotEngine,
+    rules: &str,
+    queries: &[&str],
+    table_query: &str,
+) {
     let snap = service.snapshot();
     let cold = CarlEngine::new(snap.instance().clone(), rules).expect("cold engine binds");
-    for query in QUERIES {
+    for query in queries {
         let live = digest_answer(&snap.engine().answer_str(query));
         let cold_digest = digest_answer(&cold.answer_str(query));
         assert_eq!(
@@ -96,8 +107,10 @@ fn assert_epoch_matches_cold(service: &SnapshotEngine, rules: &str) {
             snap.epoch()
         );
     }
-    let query = "AVG_AVG_Score[P] <= Prestige[A]?";
-    match (snap.engine().prepare_str(query), cold.prepare_str(query)) {
+    match (
+        snap.engine().prepare_str(table_query),
+        cold.prepare_str(table_query),
+    ) {
         (Ok(live), Ok(cold)) => {
             assert_eq!(live.unit_table.units, cold.unit_table.units, "unit keys");
             assert_eq!(live.peers, cold.peers, "peer maps");
@@ -143,6 +156,43 @@ fn fuzzed_attribute_commits_patch_bit_identically() {
             snap.epoch()
         );
         assert_epoch_matches_cold(&service, CASCADE_RULES);
+    }
+    let stats = service.commit_stats();
+    assert_eq!(
+        (stats.incremental, stats.cold),
+        (5, 0),
+        "attribute-only batches must all take the fast path"
+    );
+}
+
+/// Aggregates keyed by relationship tuples: `MAX_PAIR` folds each
+/// `Writes(A, P)` tuple's paper score under a two-argument head, and
+/// `AVG_PAIR` folds those tuple-keyed values onto authors. Score commits
+/// refold `MAX_PAIR` cells (a cleared score clears its cells) and cascade
+/// into `AVG_PAIR` on the patch path, and each patched epoch answers like
+/// a cold rebuild — including the query whose synthesised extension reads
+/// `MAX_PAIR`.
+#[test]
+fn attribute_commits_refold_multi_argument_aggregates() {
+    const PAIR_QUERIES: &[&str] = &[
+        "AVG_PAIR[A] <= Prestige[A]?",
+        "MAX_PAIR[A, P] <= Prestige[A]?",
+        "AVG_PAIR[A] <= Prestige[A]? WHEN ALL PEERS TREATED",
+    ];
+    let rules = format!(
+        "{CASCADE_RULES}
+    MAX_PAIR[A, P] <= Score[P]       WHERE Writes(A, P)
+    AVG_PAIR[A]    <= MAX_PAIR[A, P] WHERE Writes(A, P)
+"
+    );
+    let service = SnapshotEngine::new(dataset(19), &rules).expect("model binds");
+    let _ = service.answer_str(PAIR_QUERIES[0]);
+
+    let mut rng = SmallRng::seed_from_u64(0x9A125);
+    for epoch in 0..5 {
+        let batch = attribute_batch(&mut rng, 300, 80, epoch);
+        service.commit(&batch).expect("attribute batch applies");
+        assert_queries_match_cold(&service, &rules, PAIR_QUERIES, PAIR_QUERIES[1]);
     }
     let stats = service.commit_stats();
     assert_eq!(

@@ -262,6 +262,47 @@ fn reviewdata_queries_are_identical() {
     );
 }
 
+/// Relationship-keyed attributes. On REVIEWDATA, `SUM_PAIR[A, S]` is an
+/// aggregate head over `Author` tuples: the synthesised extension of the
+/// first and third query reads it as a two-argument source, and the
+/// treatment `Accepted` of the last has it as parents. On MIMIC, the
+/// extension of the first query reads the observed `Dose[D, P]` and the
+/// treatment `Sex` of the second has `Dose` parents.
+#[test]
+fn multi_argument_sources_are_identical() {
+    const PAIR_RULES: &str = r#"
+        SUM_PAIR[A, S] <= Score[S]       WHERE Author(A, S)
+        AVG_PAIR[A]    <= SUM_PAIR[A, S] WHERE Author(A, S)
+        Accepted[S]    <= SUM_PAIR[A, S] WHERE Author(A, S)
+    "#;
+    let ds = generate_reviewdata(&ReviewConfig::small(5));
+    let rules = format!("{}{PAIR_RULES}", ds.rules);
+    let (streamed, materialised) = engine_pair(&ds.instance, &rules);
+    assert_grounding_identical(&streamed, &materialised);
+    for query in [
+        "SUM_PAIR[A, S] <= Prestige[A]?",
+        "AVG_PAIR[A] <= Prestige[A]?",
+        "SUM_PAIR[A, S] <= Prestige[A]? WHERE Submitted(S, C), Blind[C] = false",
+        "Score[S] <= Accepted[S]?",
+    ] {
+        assert_prepared_identical(&streamed, &materialised, query);
+        assert_answers_identical(&streamed, &materialised, query);
+    }
+
+    let ds = generate_mimic(&MimicConfig {
+        patients: 800,
+        caregivers: 40,
+        drugs: 20,
+        ..MimicConfig::small(99)
+    });
+    let rules = format!("{}    Sex[P] <= Dose[D, P] WHERE Given(D, P)\n", ds.rules);
+    let (streamed, materialised) = engine_pair(&ds.instance, &rules);
+    for query in ["Dose[D, P] <= SelfPay[P]?", "Death[P] <= Sex[P]?"] {
+        assert_prepared_identical(&streamed, &materialised, query);
+        assert_answers_identical(&streamed, &materialised, query);
+    }
+}
+
 /// Regression: sources of the query-synthesised aggregate that are
 /// themselves base-model *aggregate* heads must resolve to base-graph
 /// nodes. The extension's read-only node lookup used to miss them
