@@ -148,21 +148,22 @@ pub(crate) fn covariates_rows<G: GroundedValues>(
     // (renumbered once the names are sorted below); then all their values
     // in one read.
     let mut seen: Vec<(&str, bool)> = Vec::new();
+    // Graph attribute id → its slot in `seen` (`u32::MAX` = not seen yet).
+    let mut slot_of: Vec<u32> = vec![u32::MAX; graph.attr_count()];
     let mut parents: Vec<(u32, NodeId)> = Vec::new();
     let mut ends: Vec<usize> = Vec::with_capacity(units.len());
     for id in grounded.unit_nodes(treatment_attr, units) {
         for &pid in id.map_or(&[][..], |id| graph.parents_of(id)) {
-            let attr = graph.node(pid).attr.as_str();
-            let slot = match seen.iter().position(|&(name, _)| name == attr) {
-                Some(slot) => slot,
-                None => {
-                    let eligible = attr != treatment_attr && model.is_observed(attr);
-                    seen.push((attr, eligible));
-                    seen.len() - 1
-                }
-            };
-            if seen[slot].1 {
-                parents.push((to_slot(slot), pid));
+            let attr_id = graph.label(pid).attr;
+            let slot = &mut slot_of[attr_id as usize];
+            if *slot == u32::MAX {
+                let attr = graph.attr_name(attr_id);
+                let eligible = attr != treatment_attr && model.is_observed(attr);
+                *slot = to_slot(seen.len());
+                seen.push((attr, eligible));
+            }
+            if seen[*slot as usize].1 {
+                parents.push((*slot, pid));
             }
         }
         ends.push(parents.len());

@@ -125,7 +125,7 @@ pub struct RowPreparedQuery {
 enum QueryGrounding {
     /// The reference grounding of the whole effective model
     /// ([`GroundingMode::Tuples`], and the row-wise reference path).
-    Reference(GroundedModel),
+    Reference(Box<GroundedModel>),
     /// The engine's streamed base grounding.
     Streamed(Arc<StreamedModel>),
     /// The engine's base grounding with one synthesised aggregate streamed
@@ -141,7 +141,7 @@ impl QueryGrounding {
     /// made of.
     fn whole(&self) -> Result<&dyn GroundedValues, (&StreamedModel, &AggregateExtension)> {
         match self {
-            QueryGrounding::Reference(model) => Ok(model),
+            QueryGrounding::Reference(model) => Ok(model.as_ref()),
             QueryGrounding::Streamed(base) => Ok(base.as_ref()),
             QueryGrounding::Extended { base, ext } => Err((base, ext)),
         }
@@ -165,23 +165,6 @@ impl GroundedValues for QueryGrounding {
         }
     }
 
-    fn node_of(&self, attr: &str, key: &reldb::UnitKey) -> Option<crate::graph::NodeId> {
-        match self.whole() {
-            Ok(grounded) => grounded.node_of(attr, key),
-            // The extension's would-be vertices are graph leaves that never
-            // enter the base graph; node probes resolve against the base
-            // (exactly the nodes a descendant walk can reach).
-            Err((base, _)) => base.node_of(attr, key),
-        }
-    }
-
-    fn unit_nodes(&self, attr: &str, units: UnitRows<'_>) -> Vec<Option<crate::graph::NodeId>> {
-        match self.whole() {
-            Ok(grounded) => grounded.unit_nodes(attr, units),
-            Err((base, _)) => base.unit_nodes(attr, units),
-        }
-    }
-
     fn node_values(&self, instance: &Instance, nodes: &[crate::graph::NodeId]) -> Vec<Option<f64>> {
         match self.whole() {
             Ok(grounded) => grounded.node_values(instance, nodes),
@@ -190,11 +173,12 @@ impl GroundedValues for QueryGrounding {
                 // Base nodes ground the extension's attribute only when a
                 // program aggregate shares its name; those read the
                 // extension first, as `value_of` does.
-                if base.grounds_attr(&ext.attr) {
+                if let Some(attr_id) = base.graph.lookup_attr(&ext.attr) {
+                    let arity = base.graph.attr_arity(attr_id);
                     for (value, &node) in values.iter_mut().zip(nodes) {
-                        let node = base.graph.node(node);
-                        if node.attr == ext.attr {
-                            *value = ext.value_of(instance, node).or(*value);
+                        let label = base.graph.label(node);
+                        if label.attr == attr_id {
+                            *value = ext.sig_value(arity, label.sig).or(*value);
                         }
                     }
                 }
@@ -214,8 +198,7 @@ impl GroundedValues for QueryGrounding {
             Err((base, ext)) => {
                 let mut values = base.unit_values(instance, attr, units);
                 if attr == ext.attr {
-                    for (value, derived) in values.iter_mut().zip(ext.unit_values(instance, units))
-                    {
+                    for (value, derived) in values.iter_mut().zip(ext.unit_values(units)) {
                         *value = derived.or(*value);
                     }
                 }
@@ -657,7 +640,8 @@ impl CarlEngine {
         mode: GroundingMode,
     ) -> CarlResult<QueryGrounding> {
         if mode == GroundingMode::Tuples {
-            return Ok(QueryGrounding::Reference(ground(model, &self.instance)?));
+            let grounded = ground(model, &self.instance)?;
+            return Ok(QueryGrounding::Reference(Box::new(grounded)));
         }
         let base = self.base_streamed()?;
         match synthesized {
@@ -759,14 +743,9 @@ impl CarlEngine {
             _ => UnitRows::keys(&shared),
         };
         let peers = match &inputs.grounded {
-            QueryGrounding::Extended { base, ext } => compute_peers_streamed_rows(
-                base,
-                ext,
-                treatment_attr,
-                units,
-                Arc::clone(&shared),
-                &self.instance,
-            ),
+            QueryGrounding::Extended { base, ext } => {
+                compute_peers_streamed_rows(base, ext, treatment_attr, units, Arc::clone(&shared))
+            }
             _ => compute_peers_rows(
                 &inputs.grounded,
                 treatment_attr,
@@ -822,6 +801,7 @@ impl CarlEngine {
         let QueryGrounding::Reference(grounded) = &inputs.grounded else {
             unreachable!("the Tuples mode grounds on the reference grounder")
         };
+        let grounded = grounded.as_ref();
         let peers = compute_peers_rowwise(
             grounded,
             &inputs.treatment_attr,

@@ -5,24 +5,28 @@
 //! of a grounded rule to the grounding in its head. Aggregate rules add
 //! further vertices (e.g. `AVG_Score["Bob"]`) whose value is a deterministic
 //! function of their parents.
+//!
+//! The graph is also the one store of node identities. A node is kept as
+//! an 8-byte label: its attribute's dense id and its key's signature in
+//! the graph's key-signature table. Attribute names and key values are kept
+//! once per attribute and once per value, so a [`GroundedAttr`] exists only
+//! when a caller asks for one ([`CausalGraph::node`], [`CausalGraph::iter`]).
 
 use reldb::symbols::SymMap;
-use reldb::value::{fnv1a, FNV_OFFSET};
-use reldb::{UnitKey, Value};
+use reldb::{Skeleton, Sym, SymbolTable, UnitKey, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::Arc;
 
 /// Process-wide count of [`GroundedAttr`] constructions.
 ///
-/// `GroundedAttr` allocates (it owns its attribute name and key), so every
-/// construction on a hot path is a heap hit plus a later re-hash. The
-/// interned-identity work keeps them off the streamed grounding path except
-/// at API boundaries; this counter lets a test *prove* that — constructions
-/// during a cold streamed ground must stay O(distinct derived nodes), not
-/// O(rows) (`tests/parallel_grounding.rs`; carlbench also reports it as
-/// `ground.attr_constructions`).
+/// `GroundedAttr` allocates (it owns its attribute name and key), so the
+/// grounders and the cached query path never build one: the graph keeps
+/// nodes as labels and renders a `GroundedAttr` only at API edges. This
+/// counter lets a test *prove* that — a cold streamed ground and a cached
+/// prepare construct none (`tests/parallel_grounding.rs`; carlbench also
+/// reports it as `ground.attr_constructions`).
 static GROUNDED_ATTR_CONSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Total `GroundedAttr` constructions since process start (or the last
@@ -36,19 +40,13 @@ pub fn reset_grounded_attr_constructions() {
     GROUNDED_ATTR_CONSTRUCTIONS.store(0, Ordering::Relaxed);
 }
 
-/// Interned identity of a grounded node: a dense `u32` issued by the
-/// grounding node table, keyed on `(attribute id, key signature)`. Hot paths (streamed grounding, incremental patching, peer
-/// discovery) pass these around instead of constructing string-keyed
-/// [`GroundedAttr`]s and re-fingerprinting them per probe.
-///
-/// The value equals the node's [`NodeId`] in the causal graph, so
-/// `id.index()` indexes every graph-side table directly.
+/// A graph [`NodeId`] as a dense `u32`, for tables that store many of them
+/// (per-signature node arrays, aggregate group sources).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroundedNodeId(pub u32);
 
 impl GroundedNodeId {
-    /// Sentinel for "no node" in dense tables (mirrors the node table's
-    /// `NO_NODE`).
+    /// Sentinel for "no node" in dense tables.
     pub const NONE: GroundedNodeId = GroundedNodeId(u32::MAX);
 
     /// Construct from a graph [`NodeId`].
@@ -66,7 +64,8 @@ impl GroundedNodeId {
     }
 }
 
-/// A grounded attribute `A[x]`: the vertex type of the causal graph.
+/// A grounded attribute `A[x]`: the vertex type of the causal graph, as
+/// callers build and read it.
 ///
 /// Ordered (attribute name, then key) so that sorted containers — notably
 /// [`crate::ground::GroundedModel::derived`] — iterate deterministically.
@@ -104,88 +103,273 @@ impl fmt::Display for GroundedAttr {
 /// Identifier of a node inside a [`CausalGraph`].
 pub type NodeId = usize;
 
-/// The grounded relational causal graph `G(Φ_Δ)`.
+/// A node's identity: its attribute's dense id in the graph and its key's
+/// [`KeySigs`] signature.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct NodeLabel {
+    pub(crate) attr: u32,
+    pub(crate) sig: u32,
+}
+
+/// A symbol as a key signature.
+pub(crate) fn sym_sig(sym: Sym) -> u32 {
+    u32::try_from(sym.index()).expect("symbol space fits u32")
+}
+
+/// Key signatures: every key of every grounded node as one `u32`, so node
+/// identities, aggregate groups and derived cells are plain array indexes.
 ///
-/// Grounding builds the graph append-only: the grounder's own node table
-/// is the identity authority, so [`CausalGraph::push_node`] appends without
-/// deduplicating, and rule edges are buffered and folded into the
-/// adjacency lists in one pass ([`CausalGraph::fold_edges`]). Lookups by
-/// content ([`CausalGraph::node_id`]) and by attribute name
-/// ([`CausalGraph::nodes_of_attr`]) go through one index that is built on
-/// first use and kept in sync by later insertions.
+/// A key's arguments are symbols: a value's symbol in the skeleton the
+/// table was built over or, for a value that skeleton never interned (a
+/// constant of the rule text, or any value of a graph built without a
+/// skeleton), a pseudo-symbol past the skeleton's, one per distinct value
+/// under `Value` equality, like the interner. A one-argument key is signed
+/// by its argument's symbol. Any other key — a relationship tuple, or the
+/// empty key — is interned here once and signed by its tuple id. A graph
+/// gives every attribute one key arity, so within an attribute a signature
+/// names exactly one key.
+///
+/// A query extension layers a table over its base grounding's
+/// ([`KeySigs::over`]): it reads the base's symbols and tuples in place,
+/// through the base's shared graph, and mints what the base lacks above the
+/// base's ranges.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KeySigs {
+    /// The skeleton whose interner issues the non-pseudo symbols.
+    skeleton: Option<Arc<Skeleton>>,
+    /// The graph whose key table this one extends, if any.
+    parent: Option<Arc<CausalGraph>>,
+    /// The first pseudo-symbol this table mints: past the skeleton's
+    /// symbols and every pseudo-symbol of `parent`.
+    first_const: usize,
+    /// Pseudo-symbol `first_const + i` stands for `consts`' symbol `i`.
+    consts: SymbolTable,
+    /// The first tuple id this table mints (past `parent`'s).
+    first_tuple: usize,
+    /// Tuple ids minted here, by argument symbols.
+    tuple_ids: SymMap<Box<[Sym]>, u32>,
+    /// Tuple `first_tuple + i` has arguments
+    /// `tuple_args[tuple_ends[i - 1]..tuple_ends[i]]` (from 0 when `i = 0`).
+    tuple_args: Vec<Sym>,
+    tuple_ends: Vec<u32>,
+    /// Argument buffer reused by [`KeySigs::intern_args`].
+    scratch: Vec<Sym>,
+}
+
+impl KeySigs {
+    /// An empty table over `skeleton`'s symbols (none without one).
+    fn new(skeleton: Option<Arc<Skeleton>>) -> Self {
+        Self {
+            first_const: skeleton.as_ref().map_or(0, |s| s.interner().len()),
+            skeleton,
+            ..Self::default()
+        }
+    }
+
+    /// An empty table extending the key table of `parent`.
+    pub(crate) fn over(parent: Arc<CausalGraph>) -> Self {
+        let keys = &parent.keys;
+        Self {
+            skeleton: keys.skeleton.clone(),
+            first_const: keys.first_const + keys.consts.len(),
+            first_tuple: keys.first_tuple + keys.tuple_ends.len(),
+            parent: Some(parent),
+            ..Self::default()
+        }
+    }
+
+    /// The key table this one extends, if any.
+    fn parent(&self) -> Option<&KeySigs> {
+        self.parent.as_deref().map(|graph| &graph.keys)
+    }
+
+    /// The skeleton interner's symbols, if the table has a skeleton.
+    fn interner(&self) -> Option<&SymbolTable> {
+        self.skeleton.as_deref().map(Skeleton::interner)
+    }
+
+    /// Number of skeleton symbols: every symbol below it is the skeleton's,
+    /// every other a pseudo-symbol.
+    pub(crate) fn skeleton_syms(&self) -> usize {
+        self.interner().map_or(0, SymbolTable::len)
+    }
+
+    /// The symbol of a key value, if the skeleton or this table has one.
+    pub(crate) fn value_sym(&self, value: &Value) -> Option<Sym> {
+        self.interner()
+            .and_then(|interner| interner.get(value))
+            .or_else(|| self.const_sym(value))
+    }
+
+    /// The pseudo-symbol of a value, if this table or a parent minted one.
+    fn const_sym(&self, value: &Value) -> Option<Sym> {
+        match self.consts.get(value) {
+            Some(sym) => Some(Sym::from_index(self.first_const + sym.index())),
+            None => self.parent()?.const_sym(value),
+        }
+    }
+
+    /// The symbol of a key value, minting a pseudo-symbol on first sight of
+    /// a value the skeleton never interned.
+    pub(crate) fn intern_value(&mut self, value: &Value) -> Sym {
+        if let Some(sym) = self.value_sym(value) {
+            return sym;
+        }
+        Sym::from_index(self.first_const + self.consts.intern(value).index())
+    }
+
+    /// The value a symbol stands for (the first one seen of its `Value`
+    /// equality class).
+    pub(crate) fn value(&self, sym: Sym) -> &Value {
+        if let Some(interner) = self.interner().filter(|i| sym.index() < i.len()) {
+            return interner.value(sym);
+        }
+        let mut table = self;
+        while sym.index() < table.first_const {
+            table = table
+                .parent()
+                .expect("pseudo-symbols below a table's own come from its parent");
+        }
+        table
+            .consts
+            .value(Sym::from_index(sym.index() - table.first_const))
+    }
+
+    /// The signature of the key with argument symbols `args`, if it has
+    /// one: the one place a key becomes a signature.
+    pub(crate) fn sig(&self, args: &[Sym]) -> Option<u32> {
+        match args {
+            [sym] => Some(sym_sig(*sym)),
+            _ => match self.tuple_ids.get(args) {
+                Some(&id) => Some(id),
+                None => self.parent()?.sig(args),
+            },
+        }
+    }
+
+    /// [`KeySigs::sig`], interning a new tuple on first sight.
+    fn intern(&mut self, args: &[Sym]) -> u32 {
+        if let Some(sig) = self.sig(args) {
+            return sig;
+        }
+        let id = u32::try_from(self.first_tuple + self.tuple_ends.len()).expect("tuples fit u32");
+        self.tuple_args.extend_from_slice(args);
+        self.tuple_ends
+            .push(u32::try_from(self.tuple_args.len()).expect("tuple arguments fit u32"));
+        self.tuple_ids.insert(args.into(), id);
+        id
+    }
+
+    /// The signature of the key whose argument symbols `args` yields,
+    /// interning it on first sight; the first error ends the key.
+    pub(crate) fn intern_args<E>(
+        &mut self,
+        mut args: impl ExactSizeIterator<Item = Result<Sym, E>>,
+    ) -> Result<u32, E> {
+        if args.len() == 1 {
+            // One symbol, no argument buffer.
+            let sym = args.next().expect("one argument")?;
+            return Ok(self.intern(&[sym]));
+        }
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.clear();
+        for arg in args {
+            buf.push(arg?);
+        }
+        let sig = self.intern(&buf);
+        self.scratch = buf;
+        Ok(sig)
+    }
+
+    /// The signature of a key of values, if every value has a symbol and
+    /// the key was interned.
+    pub(crate) fn key_sig(&self, key: &[Value]) -> Option<u32> {
+        if let [value] = key {
+            // One symbol, no argument buffer.
+            return self.sig(&[self.value_sym(value)?]);
+        }
+        let args: Option<Vec<Sym>> = key.iter().map(|v| self.value_sym(v)).collect();
+        self.sig(&args?)
+    }
+
+    /// Read the argument symbols of the key with signature `sig` in an
+    /// attribute of key arity `arity`.
+    pub(crate) fn with_args<R>(&self, arity: usize, sig: u32, read: impl FnOnce(&[Sym]) -> R) -> R {
+        if arity == 1 {
+            return read(&[Sym::from_index(sig as usize)]);
+        }
+        let mut table = self;
+        while (sig as usize) < table.first_tuple {
+            table = table
+                .parent()
+                .expect("tuple ids below a table's own come from its parent");
+        }
+        let i = sig as usize - table.first_tuple;
+        let start = if i == 0 {
+            0
+        } else {
+            table.tuple_ends[i - 1] as usize
+        };
+        read(&table.tuple_args[start..table.tuple_ends[i] as usize])
+    }
+
+    /// The key values of argument symbols `args`.
+    pub(crate) fn key_of(&self, args: &[Sym]) -> UnitKey {
+        args.iter().map(|&sym| self.value(sym).clone()).collect()
+    }
+}
+
+/// One attribute of a graph: its name, key arity and nodes by signature.
+#[derive(Debug, Clone)]
+struct AttrNodes {
+    name: String,
+    arity: usize,
+    /// `by_sig[sig]` → node ([`GroundedNodeId::NONE`] = absent).
+    by_sig: Vec<GroundedNodeId>,
+}
+
+/// The grounded relational causal graph `G(Φ_Δ)`, and the one store of its
+/// nodes' identities.
+///
+/// Per node the graph keeps its adjacency and one 8-byte label, its
+/// attribute id and key signature; per attribute its name, key arity and
+/// signature → node array; and the key-signature table, with the skeleton
+/// whose interner the signatures index. Every node is created by one lookup-or-append on `(attribute,
+/// signature)`, so a grounding is stored once and lookups by content
+/// ([`CausalGraph::node_id`], [`CausalGraph::node_of`]) are a hash of the
+/// attribute name, the key's symbols and an array read. A graph built with
+/// [`CausalGraph::new`] has no skeleton: every value it sees gets a
+/// pseudo-symbol. Rule edges are buffered by the grounders and folded into
+/// the adjacency lists in one pass ([`CausalGraph::fold_edges`]).
 #[derive(Debug, Clone, Default)]
 pub struct CausalGraph {
-    nodes: Vec<GroundedAttr>,
+    labels: Vec<NodeLabel>,
     parents: Vec<Vec<NodeId>>,
     children: Vec<Vec<NodeId>>,
-    index: OnceLock<NodeIndex>,
-}
-
-/// The graph's lookup index: content fingerprint → node, and attribute
-/// name → nodes in id order.
-#[derive(Debug, Clone, Default)]
-struct NodeIndex {
-    /// Content fingerprint → the first node with that fingerprint.
-    ///
-    /// Keying on a 64-bit FNV of the grounded attribute's canonical bytes
-    /// avoids cloning attribute strings and unit keys into a map key per
-    /// node (and the fast symbol hasher makes the probe a few ALU ops).
-    first: SymMap<u64, NodeId>,
-    /// Further nodes sharing a fingerprint with `first` (collisions, or
-    /// duplicates appended through [`CausalGraph::push_node`]), in id order.
-    more: SymMap<u64, Vec<NodeId>>,
-    by_attr: HashMap<String, Vec<NodeId>>,
-}
-
-impl NodeIndex {
-    fn build(nodes: &[GroundedAttr]) -> Self {
-        let mut index = Self::default();
-        for (id, node) in nodes.iter().enumerate() {
-            index.insert(id, node);
-        }
-        index
-    }
-
-    fn insert(&mut self, id: NodeId, node: &GroundedAttr) {
-        let h = CausalGraph::fingerprint(node);
-        if let Some(&head) = self.first.get(&h) {
-            debug_assert!(head < id);
-            self.more.entry(h).or_default().push(id);
-        } else {
-            self.first.insert(h, id);
-        }
-        // Avoid cloning the attribute name except for its first node.
-        match self.by_attr.get_mut(&node.attr) {
-            Some(ids) => ids.push(id),
-            None => {
-                self.by_attr.insert(node.attr.clone(), vec![id]);
-            }
-        }
-    }
-
-    fn find(&self, nodes: &[GroundedAttr], node: &GroundedAttr) -> Option<NodeId> {
-        let h = CausalGraph::fingerprint(node);
-        let &head = self.first.get(&h)?;
-        if nodes[head] == *node {
-            return Some(head);
-        }
-        self.more
-            .get(&h)?
-            .iter()
-            .copied()
-            .find(|&id| nodes[id] == *node)
-    }
+    attr_ids: HashMap<String, u32>,
+    attrs: Vec<AttrNodes>,
+    keys: KeySigs,
 }
 
 impl CausalGraph {
-    /// Create an empty graph.
+    /// Create an empty graph without a skeleton.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Create an empty graph whose keys are signed by `skeleton`'s symbols.
+    /// Lookups read the skeleton's interner: key values must be compared
+    /// against this skeleton (or an attribute-only successor of it).
+    pub fn with_skeleton(skeleton: Arc<Skeleton>) -> Self {
+        Self {
+            keys: KeySigs::new(Some(skeleton)),
+            ..Self::default()
+        }
+    }
+
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.labels.len()
     }
 
     /// Number of edges.
@@ -193,49 +377,139 @@ impl CausalGraph {
         self.children.iter().map(Vec::len).sum()
     }
 
-    /// A deterministic 64-bit content fingerprint of a grounded attribute
-    /// (FNV-1a over the attribute name and the key's *equality-consistent*
-    /// byte rendering: `Value`-equal keys — including `Int(2)` vs
-    /// `Float(2.0)` — fingerprint identically, so the index buckets no
-    /// finer than `GroundedAttr` equality).
-    fn fingerprint(node: &GroundedAttr) -> u64 {
-        let mut h = FNV_OFFSET;
-        fnv1a(&mut h, node.attr.as_bytes());
-        fnv1a(&mut h, &[0xff]);
-        for v in &node.key {
-            v.fold_eq_bytes(&mut |bytes| fnv1a(&mut h, bytes));
-            fnv1a(&mut h, &[0xfe]);
-        }
-        h
+    /// The key table.
+    pub(crate) fn keys(&self) -> &KeySigs {
+        &self.keys
     }
 
-    /// The lookup index, built on first use.
-    fn index(&self) -> &NodeIndex {
-        self.index.get_or_init(|| NodeIndex::build(&self.nodes))
+    /// The key table, for signing keys before their nodes exist.
+    pub(crate) fn keys_mut(&mut self) -> &mut KeySigs {
+        &mut self.keys
     }
 
-    /// Append a node without checking whether an equal one exists.
+    /// The dense id of attribute `attr`, whose keys have `arity` arguments
+    /// (registering it on first use).
     ///
-    /// For builders that own node identity (the grounder's node table
-    /// hands out each grounding once); [`CausalGraph::add_node`] is the
-    /// deduplicating entry point.
-    pub fn push_node(&mut self, node: GroundedAttr) -> NodeId {
-        let id = self.nodes.len();
-        if let Some(index) = self.index.get_mut() {
-            index.insert(id, &node);
+    /// # Panics
+    /// Panics if `attr` was registered with another key arity.
+    pub(crate) fn attr_id(&mut self, attr: &str, arity: usize) -> u32 {
+        if let Some(&id) = self.attr_ids.get(attr) {
+            assert_eq!(
+                self.attrs[id as usize].arity, arity,
+                "attribute `{attr}` grounded with two key arities"
+            );
+            return id;
         }
-        self.nodes.push(node);
+        let id = u32::try_from(self.attrs.len()).expect("attribute ids fit u32");
+        self.attr_ids.insert(attr.to_string(), id);
+        self.attrs.push(AttrNodes {
+            name: attr.to_string(),
+            arity,
+            by_sig: Vec::new(),
+        });
+        id
+    }
+
+    /// The dense id of attribute `attr`, if some node has it.
+    pub(crate) fn lookup_attr(&self, attr: &str) -> Option<u32> {
+        self.attr_ids.get(attr).copied()
+    }
+
+    /// Number of attributes.
+    pub(crate) fn attr_count(&self) -> usize {
+        self.attrs.len()
+    }
+
+    /// The name of attribute `attr_id`.
+    pub(crate) fn attr_name(&self, attr_id: u32) -> &str {
+        &self.attrs[attr_id as usize].name
+    }
+
+    /// The key arity of attribute `attr_id`.
+    pub(crate) fn attr_arity(&self, attr_id: u32) -> usize {
+        self.attrs[attr_id as usize].arity
+    }
+
+    /// The label of a node.
+    pub(crate) fn label(&self, id: NodeId) -> NodeLabel {
+        self.labels[id]
+    }
+
+    /// The attribute name of a node.
+    pub fn attr_of(&self, id: NodeId) -> &str {
+        self.attr_name(self.labels[id].attr)
+    }
+
+    /// The signature of `key` as a key of attribute `attr_id`.
+    pub(crate) fn key_sig(&self, attr_id: u32, key: &[Value]) -> Option<u32> {
+        (key.len() == self.attr_arity(attr_id))
+            .then(|| self.keys.key_sig(key))
+            .flatten()
+    }
+
+    /// The node of attribute `attr_id` with key signature `sig`, if any.
+    pub(crate) fn lookup(&self, attr_id: u32, sig: u32) -> Option<NodeId> {
+        match self.attrs[attr_id as usize].by_sig.get(sig as usize) {
+            Some(&id) if id != GroundedNodeId::NONE => Some(id.index()),
+            _ => None,
+        }
+    }
+
+    /// The node of attribute `attr_id` with key signature `sig`, appended
+    /// on first sight. This lookup-or-append is the only way nodes are
+    /// created, so the per-attribute arrays index every node.
+    pub(crate) fn intern_node(&mut self, attr_id: u32, sig: u32) -> NodeId {
+        let by_sig = &mut self.attrs[attr_id as usize].by_sig;
+        let slot = sig as usize;
+        if slot >= by_sig.len() {
+            by_sig.resize(slot + 1, GroundedNodeId::NONE);
+        }
+        if by_sig[slot] != GroundedNodeId::NONE {
+            return by_sig[slot].index();
+        }
+        let id = self.labels.len();
+        by_sig[slot] = GroundedNodeId::from_node(id);
+        self.labels.push(NodeLabel { attr: attr_id, sig });
         self.parents.push(Vec::new());
         self.children.push(Vec::new());
         id
     }
 
     /// Add (or retrieve) the node for a grounded attribute.
+    ///
+    /// # Panics
+    /// Panics if the attribute already has nodes whose keys have another
+    /// number of arguments.
     pub fn add_node(&mut self, node: GroundedAttr) -> NodeId {
-        match self.node_id(&node) {
-            Some(id) => id,
-            None => self.push_node(node),
-        }
+        let attr_id = self.attr_id(&node.attr, node.key.len());
+        let args: Vec<Sym> = node.key.iter().map(|v| self.keys.intern_value(v)).collect();
+        let sig = self.keys.intern(&args);
+        self.intern_node(attr_id, sig)
+    }
+
+    /// The node grounding `attr` with `key`, if one exists: the attribute
+    /// by name, the key by its symbols' signature. Nothing is built or
+    /// rendered.
+    pub fn node_of(&self, attr: &str, key: &[Value]) -> Option<NodeId> {
+        let attr_id = self.lookup_attr(attr)?;
+        self.lookup(attr_id, self.key_sig(attr_id, key)?)
+    }
+
+    /// Look up the node id of a grounded attribute.
+    pub fn node_id(&self, node: &GroundedAttr) -> Option<NodeId> {
+        self.node_of(&node.attr, &node.key)
+    }
+
+    /// The key values of a node.
+    fn key_of(&self, id: NodeId) -> UnitKey {
+        let NodeLabel { attr, sig } = self.labels[id];
+        self.keys
+            .with_args(self.attr_arity(attr), sig, |args| self.keys.key_of(args))
+    }
+
+    /// The grounded attribute of a node, rendered from its label.
+    pub fn node(&self, id: NodeId) -> GroundedAttr {
+        GroundedAttr::new(self.attr_of(id), self.key_of(id))
     }
 
     /// Add an edge `parent → child`, deduplicating repeated insertions.
@@ -263,7 +537,7 @@ impl CausalGraph {
             u32::try_from(edges.len()).is_ok(),
             "edge buffer exceeds the u32 index space"
         );
-        let n = self.nodes.len();
+        let n = self.labels.len();
         let mut start = vec![0u32; n + 1];
         for &(p, c) in edges {
             if p != c {
@@ -317,16 +591,6 @@ impl CausalGraph {
         }
     }
 
-    /// The grounded attribute of a node.
-    pub fn node(&self, id: NodeId) -> &GroundedAttr {
-        &self.nodes[id]
-    }
-
-    /// Look up the node id of a grounded attribute.
-    pub fn node_id(&self, node: &GroundedAttr) -> Option<NodeId> {
-        self.index().find(&self.nodes, node)
-    }
-
     /// Parents of a node.
     pub fn parents_of(&self, id: NodeId) -> &[NodeId] {
         &self.parents[id]
@@ -337,18 +601,19 @@ impl CausalGraph {
         &self.children[id]
     }
 
-    /// All node ids whose attribute name is `attr`.
-    pub fn nodes_of_attr(&self, attr: &str) -> &[NodeId] {
-        self.index()
-            .by_attr
-            .get(attr)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// All node ids whose attribute name is `attr`, in id order.
+    pub fn nodes_of_attr(&self, attr: &str) -> Vec<NodeId> {
+        let Some(attr_id) = self.lookup_attr(attr) else {
+            return Vec::new();
+        };
+        (0..self.labels.len())
+            .filter(|&id| self.labels[id].attr == attr_id)
+            .collect()
     }
 
-    /// Iterate over `(id, node)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &GroundedAttr)> {
-        self.nodes.iter().enumerate()
+    /// Iterate over `(id, node)` pairs, rendering each node.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, GroundedAttr)> + '_ {
+        (0..self.labels.len()).map(|id| (id, self.node(id)))
     }
 
     /// Topological order (parents before children). Errors with the name of
@@ -361,7 +626,7 @@ impl CausalGraph {
             .filter(|(_, &d)| d == 0)
             .map(|(i, _)| i)
             .collect();
-        let mut order = Vec::with_capacity(self.nodes.len());
+        let mut order = Vec::with_capacity(self.labels.len());
         while let Some(n) = queue.pop_front() {
             order.push(n);
             for &c in &self.children[n] {
@@ -371,11 +636,11 @@ impl CausalGraph {
                 }
             }
         }
-        if order.len() != self.nodes.len() {
+        if order.len() != self.labels.len() {
             let culprit = in_degree
                 .iter()
                 .position(|&d| d > 0)
-                .map(|i| self.nodes[i].attr.clone())
+                .map(|i| self.attr_of(i).to_string())
                 .unwrap_or_default();
             return Err(culprit);
         }
@@ -392,7 +657,7 @@ impl CausalGraph {
         if from == to {
             return true;
         }
-        let mut seen = vec![false; self.nodes.len()];
+        let mut seen = vec![false; self.labels.len()];
         let mut stack = vec![from];
         seen[from] = true;
         while let Some(n) = stack.pop() {
@@ -550,7 +815,7 @@ mod tests {
         let parents: HashSet<&str> = g
             .parents_of(score_s1)
             .iter()
-            .map(|&p| g.node(p).attr.as_str())
+            .map(|&p| g.attr_of(p))
             .collect();
         assert_eq!(parents, HashSet::from(["Prestige", "Quality"]));
         assert_eq!(g.parents_of(score_s1).len(), 3);
@@ -600,37 +865,31 @@ mod tests {
     }
 
     #[test]
-    fn lookups_see_nodes_pushed_before_and_after_the_index_is_built() {
+    fn lookups_see_every_added_node_and_survive_a_clone() {
         let mut g = CausalGraph::new();
-        let a = g.push_node(GroundedAttr::single("A", "x"));
-        let b = g.push_node(GroundedAttr::single("B", "x"));
-        // First lookup builds the index over the nodes pushed so far.
+        let a = g.add_node(GroundedAttr::single("A", "x"));
+        let b = g.add_node(GroundedAttr::single("B", "x"));
         assert_eq!(g.node_id(&GroundedAttr::single("A", "x")), Some(a));
         assert_eq!(g.nodes_of_attr("B"), &[b]);
-        // Later pushes land in the already-built index.
-        let a2 = g.push_node(GroundedAttr::single("A", "y"));
+        // Nodes added after a lookup are found too.
+        let a2 = g.add_node(GroundedAttr::single("A", "y"));
         assert_eq!(g.node_id(&GroundedAttr::single("A", "y")), Some(a2));
         assert_eq!(g.nodes_of_attr("A"), &[a, a2]);
         assert_eq!(g.node_id(&GroundedAttr::single("A", "z")), None);
-        // A clone carries the built index along.
+        assert_eq!(g.attr_of(a2), "A");
+        assert_eq!(g.node(a2), GroundedAttr::single("A", "y"));
+        // A clone carries the node store along.
         let c = g.clone();
         assert_eq!(c.node_id(&GroundedAttr::single("A", "y")), Some(a2));
-        // Nodes pushed before any lookup are indexed on first use too.
-        let mut h = CausalGraph::new();
-        let ids: Vec<NodeId> = ["x", "y", "z"]
-            .iter()
-            .map(|k| h.push_node(GroundedAttr::single("C", *k)))
-            .collect();
-        assert_eq!(h.nodes_of_attr("C"), ids.as_slice());
-        assert_eq!(h.node_id(&GroundedAttr::single("C", "z")), Some(ids[2]));
+        assert_eq!(c.nodes_of_attr("A"), &[a, a2]);
     }
 
     #[test]
     fn add_node_after_a_lookup_keeps_the_index_in_sync() {
         let mut g = CausalGraph::new();
-        let a = g.push_node(GroundedAttr::single("A", "x"));
+        let a = g.add_node(GroundedAttr::single("A", "x"));
         assert_eq!(g.nodes_of_attr("A"), &[a]);
-        // `add_node` probes the built index: an existing node dedups...
+        // `add_node` probes the store: an existing node dedups...
         assert_eq!(g.add_node(GroundedAttr::single("A", "x")), a);
         // ...and a new one is appended and indexed.
         let b = g.add_node(GroundedAttr::single("A", "y"));
@@ -639,17 +898,6 @@ mod tests {
         assert_eq!(g.node_id(&GroundedAttr::single("A", "y")), Some(b));
         assert_eq!(g.nodes_of_attr("A"), &[a, b]);
         assert_eq!(g.node_count(), 2);
-    }
-
-    #[test]
-    fn pushed_duplicates_resolve_to_the_first_node() {
-        let mut g = CausalGraph::new();
-        let first = g.push_node(GroundedAttr::single("A", "x"));
-        let again = g.push_node(GroundedAttr::single("A", "x"));
-        assert_ne!(first, again);
-        assert_eq!(g.node_id(&GroundedAttr::single("A", "x")), Some(first));
-        assert_eq!(g.add_node(GroundedAttr::single("A", "x")), first);
-        assert_eq!(g.nodes_of_attr("A"), &[first, again]);
     }
 
     /// Every parent and child list, in order.
@@ -662,7 +910,7 @@ mod tests {
     fn graph_of(n: usize) -> CausalGraph {
         let mut g = CausalGraph::new();
         for i in 0..n {
-            g.push_node(GroundedAttr::single("N", i as i64));
+            g.add_node(GroundedAttr::single("N", i as i64));
         }
         g
     }
@@ -763,11 +1011,10 @@ mod tests {
 
     #[test]
     fn node_identity_follows_value_equality_across_numeric_variants() {
-        // Regression: the fingerprint index must bucket no finer than
-        // GroundedAttr equality. Int(2) == Float(2.0) per Value::eq, so a
-        // node added with one variant must be found (and deduplicated)
-        // through the other — whether the index was built before or after
-        // the node went in.
+        // Node identity must be no finer than GroundedAttr equality.
+        // Int(2) == Float(2.0) per Value::eq, so a node added with one
+        // variant must be found (and deduplicated) through the other, and
+        // reads back as the variant added first.
         let mut g = CausalGraph::new();
         let float_node = GroundedAttr::new("Score", vec![Value::Float(2.0)]);
         let int_node = GroundedAttr::new("Score", vec![Value::Int(2)]);
@@ -776,9 +1023,6 @@ mod tests {
         assert_eq!(g.node_id(&int_node), Some(id));
         assert_eq!(g.add_node(int_node.clone()), id, "no duplicate node");
         assert_eq!(g.node_count(), 1);
-
-        let mut pushed = CausalGraph::new();
-        let id = pushed.push_node(float_node);
-        assert_eq!(pushed.node_id(&int_node), Some(id));
+        assert_eq!(format!("{:?}", g.node(id).key), "[Float(2.0)]");
     }
 }

@@ -10,10 +10,11 @@
 //!
 //! * [`ground_streaming`] is the production path. Each condition's register
 //!   tuples stream off the dense executor in order-preserving chunks
-//!   straight into the merge: rule rows fold into a grounded-node table
-//!   keyed by one `u32` signature per key (its symbol, or the id of its
-//!   interned tuple), aggregate rows into dense group tables whose results
-//!   land in per-attribute column sinks. The merge is a pure
+//!   straight into the merge: rule rows become graph nodes through the
+//!   graph's lookup-or-append on (attribute, key signature), one `u32` per
+//!   key (its symbol, or the id of its interned tuple); aggregate rows fold
+//!   into dense group tables whose results land in per-attribute column
+//!   sinks. The merge is a pure
 //!   in-order fold, so a grounding is bit-identical under any
 //!   `RAYON_NUM_THREADS`. Statements the whole-program analysis proved
 //!   dead are skipped. [`ground_aggregate_extension`] streams one
@@ -23,16 +24,19 @@
 //! * [`ground`] is the reference: a small sequential loop over each
 //!   condition's `Vec<Bindings>` answers, with per-answer substitution,
 //!   [`CausalGraph::add_node`] and [`CausalGraph::add_edge`], on a fresh
-//!   index cache. It prunes nothing and shares none of the production
-//!   merge's machinery, so the differential suites and the golden digests
-//!   compare two independent implementations of Definition 3.5.
+//!   index cache. It prunes nothing. It shares the graph's node store with
+//!   production but none of the merge's slots, group tables or executor,
+//!   so the differential suites and the golden digests compare two
+//!   independent implementations of Definition 3.5.
 
 use crate::error::{CarlError, CarlResult};
-use crate::graph::{CausalGraph, GroundedAttr, GroundedNodeId, NodeId};
+use crate::graph::{
+    sym_sig, CausalGraph, GroundedAttr, GroundedNodeId, KeySigs, NodeId, NodeLabel,
+};
 use crate::model::{RelationalCausalModel, TypedComparison};
 use crate::unit_table::FloatColumn;
 use carl_lang::{AggName, AggregateRule, ArgTerm, CompareOp};
-use reldb::symbols::{SymMap, SymSet};
+use reldb::symbols::SymSet;
 use reldb::{
     evaluate_filtered, AggFn, Bindings, ConjunctiveQuery, EqFilter, IndexCache, Instance, Sym,
     TupleAnswers, UnitKey, Value,
@@ -63,15 +67,6 @@ impl GroundedModel {
             return Some(*v);
         }
         instance.attribute_f64(&node.attr, &node.key)
-    }
-
-    /// The observed value (as a [`Value`]) of a grounded attribute, with
-    /// derived aggregates rendered as floats.
-    pub fn raw_value_of(&self, instance: &Instance, node: &GroundedAttr) -> Option<Value> {
-        if let Some(v) = self.derived.get(node) {
-            return Some(Value::Float(*v));
-        }
-        instance.attribute(&node.attr, &node.key).cloned()
     }
 }
 
@@ -178,9 +173,10 @@ impl<'a> UnitRows<'a> {
 ///
 /// The layers read through the provided methods
 /// ([`GroundedValues::unit_nodes`], [`GroundedValues::node_values`],
-/// [`GroundedValues::unit_values`]), whose defaults are the key-addressed
-/// [`GroundedValues::node_of`]/[`GroundedValues::value_of`] path.
-/// [`StreamedModel`] overrides them to read by node id and unit symbol.
+/// [`GroundedValues::unit_values`]). Node lookups are the graph's own, by
+/// attribute id and key signature, for every implementor; the value
+/// defaults are the key-addressed [`GroundedValues::value_of`] path, which
+/// [`StreamedModel`] overrides to read by node label and unit symbol.
 pub trait GroundedValues {
     /// The grounded causal graph.
     fn graph(&self) -> &CausalGraph;
@@ -191,22 +187,41 @@ pub trait GroundedValues {
 
     /// The graph node grounding `attr` with `key`, if one exists.
     ///
-    /// The default probes the graph with a freshly built [`GroundedAttr`]
-    /// (one string clone + content fingerprint per call). Groundings that
-    /// retain an interned node table — notably [`StreamedModel`] — override
-    /// this to resolve through `(attribute id, key signature)`
-    /// without constructing or re-hashing a `GroundedAttr` at all, which is
-    /// what keeps per-unit probes (peer discovery, incremental patching)
-    /// off the allocator.
+    /// The default is the graph's lookup ([`CausalGraph::node_of`]): the
+    /// attribute by name, the key by its symbols' signature, with no
+    /// [`GroundedAttr`] built.
     fn node_of(&self, attr: &str, key: &UnitKey) -> Option<NodeId> {
-        self.graph().node_id(&GroundedAttr::new(attr, key.clone()))
+        self.graph().node_of(attr, key)
     }
 
     /// The node grounding `attr` for each unit, in unit order (`None` where
-    /// a unit has none). The default calls [`GroundedValues::node_of`] per
-    /// key.
+    /// a unit has none): by unit symbol (the key signature of a
+    /// one-argument key) when the units carry symbols the graph's skeleton
+    /// issued, by [`GroundedValues::node_of`] otherwise.
     fn unit_nodes(&self, attr: &str, units: UnitRows<'_>) -> Vec<Option<NodeId>> {
-        units.keys.iter().map(|u| self.node_of(attr, u)).collect()
+        let graph = self.graph();
+        let Some(attr_id) = graph.lookup_attr(attr) else {
+            return vec![None; units.len()];
+        };
+        let skeleton_syms = graph.keys().skeleton_syms();
+        match units.syms.filter(|_| graph.attr_arity(attr_id) == 1) {
+            Some(syms) => syms
+                .iter()
+                .zip(units.keys)
+                .map(|(&s, key)| {
+                    if s.index() < skeleton_syms {
+                        graph.lookup(attr_id, sym_sig(s))
+                    } else {
+                        self.node_of(attr, key)
+                    }
+                })
+                .collect(),
+            None => units
+                .keys
+                .iter()
+                .map(|key| self.node_of(attr, key))
+                .collect(),
+        }
     }
 
     /// The observed or derived value of each graph node in `nodes`, in
@@ -216,7 +231,7 @@ pub trait GroundedValues {
         let graph = self.graph();
         nodes
             .iter()
-            .map(|&node| self.value_of(instance, graph.node(node)))
+            .map(|&node| self.value_of(instance, &graph.node(node)))
             .collect()
     }
 
@@ -301,10 +316,10 @@ pub(crate) fn prep_condition(
 
 /// How one head/body argument is produced from an answer row.
 enum ArgSlot {
-    /// A constant from the rule text, with its symbol in the grounding's
+    /// A constant from the rule text, as its symbol in the grounding's
     /// [`KeySigs`] (the skeleton symbol when the value occurs in the
     /// skeleton, a pseudo-symbol otherwise).
-    Const(Sym, Value),
+    Const(Sym),
     /// The value in this register slot.
     Slot(usize),
     /// The variable is not bound by the condition: resolving it is an
@@ -315,17 +330,11 @@ enum ArgSlot {
 
 /// Compile argument terms against an answer's slot layout, minting
 /// pseudo-symbols in `keys` for constants the skeleton never interned.
-fn arg_slots(
-    args: &[ArgTerm],
-    answers: &TupleAnswers<'_>,
-    interner: &reldb::SymbolTable,
-    keys: &mut KeySigs,
-) -> Vec<ArgSlot> {
+fn arg_slots(args: &[ArgTerm], answers: &TupleAnswers<'_>, keys: &mut KeySigs) -> Vec<ArgSlot> {
     args.iter()
         .map(|arg| match arg {
             ArgTerm::Const(c) => {
-                let value = crate::model::literal_to_value(c);
-                ArgSlot::Const(keys.intern_value(interner, &value), value)
+                ArgSlot::Const(keys.intern_value(&crate::model::literal_to_value(c)))
             }
             ArgTerm::Var(v) => match answers.slot_of(v) {
                 Some(slot) => ArgSlot::Slot(slot),
@@ -342,15 +351,14 @@ fn unbound_error(var: &str) -> CarlError {
     ))
 }
 
-/// Resolve a compiled argument spec against one answer row.
-fn resolve_args(spec: &[ArgSlot], row: &[Sym], answers: &TupleAnswers<'_>) -> CarlResult<UnitKey> {
-    spec.iter()
-        .map(|arg| match arg {
-            ArgSlot::Const(_, v) => Ok(v.clone()),
-            ArgSlot::Slot(s) => Ok(answers.value(row[*s]).clone()),
-            ArgSlot::Unbound(v) => Err(unbound_error(v)),
-        })
-        .collect()
+/// The signature of the key `spec` builds from `row`, interning it on
+/// first sight.
+fn row_sig(keys: &mut KeySigs, spec: &[ArgSlot], row: &[Sym]) -> CarlResult<u32> {
+    keys.intern_args(spec.iter().map(|slot| match slot {
+        ArgSlot::Const(sym) => Ok(*sym),
+        ArgSlot::Slot(s) => Ok(row[*s]),
+        ArgSlot::Unbound(v) => Err(unbound_error(v)),
+    }))
 }
 
 /// The first unbound variable of a compiled spec, if any.
@@ -359,319 +367,6 @@ fn first_unbound(spec: &[ArgSlot]) -> Option<&str> {
         ArgSlot::Unbound(v) => Some(v.as_str()),
         _ => None,
     })
-}
-
-/// A symbol as a key signature.
-fn sym_sig(sym: Sym) -> u32 {
-    u32::try_from(sym.index()).expect("symbol space fits u32")
-}
-
-/// Key signatures: every key of every grounded node as one `u32`, so node
-/// identities, aggregate groups and derived cells are plain array indexes.
-///
-/// A key's arguments are symbols: a value's skeleton symbol or, for a
-/// constant of the rule text the skeleton never interned, a pseudo-symbol
-/// past the skeleton's, one per distinct value (under `Value` equality,
-/// like the interner). A one-argument key is signed by its argument's
-/// symbol. Any other key — a relationship tuple, or the empty key — is
-/// interned here once and signed by its tuple id. Model validation gives
-/// every attribute one key arity, so within an attribute a signature names
-/// exactly one key; [`NodeTable`] asserts that arity.
-///
-/// A query extension layers a table over its base grounding's
-/// ([`KeySigs::over`]): it reads the base's symbols and tuples in place,
-/// through the base's shared node table, and mints what the base lacks
-/// above the base's ranges.
-#[derive(Debug, Clone, Default)]
-struct KeySigs {
-    /// The node table whose key table this one extends, if any.
-    parent: Option<Arc<NodeTable>>,
-    /// The first pseudo-symbol this table mints: past the skeleton's
-    /// symbols and every pseudo-symbol of `parent`.
-    first_const: usize,
-    /// Pseudo-symbols minted here, by value.
-    consts: HashMap<Value, Sym>,
-    /// The first tuple id this table mints (past `parent`'s).
-    first_tuple: usize,
-    /// Tuple ids minted here, by argument symbols.
-    tuple_ids: SymMap<Box<[Sym]>, u32>,
-    /// Tuple `first_tuple + i` has arguments
-    /// `tuple_args[tuple_ends[i - 1]..tuple_ends[i]]` (from 0 when `i = 0`).
-    tuple_args: Vec<Sym>,
-    tuple_ends: Vec<u32>,
-    /// Argument buffer reused by [`KeySigs::intern_row`].
-    scratch: Vec<Sym>,
-}
-
-impl KeySigs {
-    /// An empty table over a skeleton with `skeleton_syms` symbols.
-    fn new(skeleton_syms: usize) -> Self {
-        Self {
-            first_const: skeleton_syms,
-            ..Self::default()
-        }
-    }
-
-    /// An empty table extending the key table of `parent`.
-    fn over(parent: Arc<NodeTable>) -> Self {
-        let keys = &parent.keys;
-        Self {
-            first_const: keys.first_const + keys.consts.len(),
-            first_tuple: keys.first_tuple + keys.tuple_ends.len(),
-            parent: Some(parent),
-            ..Self::default()
-        }
-    }
-
-    /// The key table this one extends, if any.
-    fn parent(&self) -> Option<&KeySigs> {
-        self.parent.as_deref().map(|nodes| &nodes.keys)
-    }
-
-    /// The symbol of a key value, if the skeleton or this table has one.
-    fn value_sym(&self, interner: &reldb::SymbolTable, value: &Value) -> Option<Sym> {
-        interner.get(value).or_else(|| self.const_sym(value))
-    }
-
-    /// The pseudo-symbol of a constant, if this table or a parent minted
-    /// one.
-    fn const_sym(&self, value: &Value) -> Option<Sym> {
-        match self.consts.get(value) {
-            Some(&sym) => Some(sym),
-            None => self.parent()?.const_sym(value),
-        }
-    }
-
-    /// The symbol of a key value, minting a pseudo-symbol on first sight of
-    /// a value the skeleton never interned.
-    fn intern_value(&mut self, interner: &reldb::SymbolTable, value: &Value) -> Sym {
-        if let Some(sym) = self.value_sym(interner, value) {
-            return sym;
-        }
-        let sym = Sym::from_index(self.first_const + self.consts.len());
-        self.consts.insert(value.clone(), sym);
-        sym
-    }
-
-    /// The signature of the key with argument symbols `args`, if it has
-    /// one: the one place a key becomes a signature.
-    fn sig(&self, args: &[Sym]) -> Option<u32> {
-        match args {
-            [sym] => Some(sym_sig(*sym)),
-            _ => match self.tuple_ids.get(args) {
-                Some(&id) => Some(id),
-                None => self.parent()?.sig(args),
-            },
-        }
-    }
-
-    /// [`KeySigs::sig`], interning a new tuple on first sight.
-    fn intern(&mut self, args: &[Sym]) -> u32 {
-        if let Some(sig) = self.sig(args) {
-            return sig;
-        }
-        let id = u32::try_from(self.first_tuple + self.tuple_ends.len()).expect("tuples fit u32");
-        self.tuple_args.extend_from_slice(args);
-        self.tuple_ends
-            .push(u32::try_from(self.tuple_args.len()).expect("tuple arguments fit u32"));
-        self.tuple_ids.insert(args.into(), id);
-        id
-    }
-
-    /// The signature of the key `spec` builds from `row`, interning it on
-    /// first sight.
-    fn intern_row(&mut self, spec: &[ArgSlot], row: &[Sym]) -> CarlResult<u32> {
-        let arg = |slot: &ArgSlot| match slot {
-            ArgSlot::Const(sym, _) => Ok(*sym),
-            ArgSlot::Slot(s) => Ok(row[*s]),
-            ArgSlot::Unbound(v) => Err(unbound_error(v)),
-        };
-        if let [one] = spec {
-            // One symbol, no argument buffer.
-            return Ok(self.intern(&[arg(one)?]));
-        }
-        let mut args = std::mem::take(&mut self.scratch);
-        args.clear();
-        for slot in spec {
-            args.push(arg(slot)?);
-        }
-        let sig = self.intern(&args);
-        self.scratch = args;
-        Ok(sig)
-    }
-
-    /// The signature of a key of values, if every value has a symbol and
-    /// the key was interned.
-    fn key_sig(&self, interner: &reldb::SymbolTable, key: &[Value]) -> Option<u32> {
-        if let [value] = key {
-            // One symbol, no argument buffer.
-            return self.sig(&[self.value_sym(interner, value)?]);
-        }
-        let args: Option<Vec<Sym>> = key.iter().map(|v| self.value_sym(interner, v)).collect();
-        self.sig(&args?)
-    }
-
-    /// Read the argument symbols of the key with signature `sig` in an
-    /// attribute of key arity `arity`.
-    fn with_args<R>(&self, arity: usize, sig: u32, read: impl FnOnce(&[Sym]) -> R) -> R {
-        if arity == 1 {
-            return read(&[Sym::from_index(sig as usize)]);
-        }
-        let mut table = self;
-        while (sig as usize) < table.first_tuple {
-            table = table
-                .parent()
-                .expect("tuple ids below a table's own come from its parent");
-        }
-        let i = sig as usize - table.first_tuple;
-        let start = if i == 0 {
-            0
-        } else {
-            table.tuple_ends[i - 1] as usize
-        };
-        read(&table.tuple_args[start..table.tuple_ends[i] as usize])
-    }
-}
-
-/// The ground-wide node table: graph-node ids memoised on
-/// `(attribute id, key signature)` so a grounding referenced by several
-/// rules (e.g. `Score[p]` as the head of three rules and the source of an
-/// aggregate) resolves its values — and hashes a string-keyed
-/// [`GroundedAttr`] — exactly once across the whole merge.
-///
-/// Each attribute's nodes sit in a dense array indexed by [`KeySigs`]
-/// signature: one bounds check per row, whatever the key's arity. The
-/// table owns the key table; the finished table is `Arc`-shared with
-/// patched epochs and read in place by query extensions. It also records every node's own signature
-/// ([`NodeSig`], 8 bytes per node), so a node id resolves back to its
-/// attribute and key without reading its [`GroundedAttr`].
-#[derive(Debug, Clone)]
-struct NodeTable {
-    attr_ids: HashMap<String, usize>,
-    /// Attribute names and key arities, by dense id.
-    attrs: Vec<(String, usize)>,
-    /// `ids[attr_id][sig]` → node id ([`GroundedNodeId::NONE`] = absent).
-    ids: Vec<Vec<GroundedNodeId>>,
-    /// Per graph node, in node order: its attribute id and key signature.
-    sigs: Vec<NodeSig>,
-    keys: KeySigs,
-}
-
-/// A grounded node's identity in the [`NodeTable`]: its attribute id and
-/// key signature.
-#[derive(Debug, Clone, Copy)]
-struct NodeSig {
-    attr: u32,
-    sig: u32,
-}
-
-impl NodeTable {
-    /// An empty table over a skeleton with `skeleton_syms` symbols.
-    fn new(skeleton_syms: usize) -> Self {
-        Self {
-            attr_ids: HashMap::new(),
-            attrs: Vec::new(),
-            ids: Vec::new(),
-            sigs: Vec::new(),
-            keys: KeySigs::new(skeleton_syms),
-        }
-    }
-
-    /// The dense id of attribute `attr`, whose keys have `arity` arguments
-    /// (registering it on first use).
-    fn attr_id(&mut self, attr: &str, arity: usize) -> usize {
-        if let Some(&id) = self.attr_ids.get(attr) {
-            assert_eq!(
-                self.attrs[id].1, arity,
-                "attribute `{attr}` grounded with two key arities"
-            );
-            return id;
-        }
-        let id = self.attrs.len();
-        self.attr_ids.insert(attr.to_string(), id);
-        self.attrs.push((attr.to_string(), arity));
-        self.ids.push(Vec::new());
-        id
-    }
-
-    /// Read-only lookup of an attribute's dense id.
-    fn lookup_attr(&self, attr: &str) -> Option<usize> {
-        self.attr_ids.get(attr).copied()
-    }
-
-    /// The key arity of an attribute.
-    fn arity(&self, attr_id: usize) -> usize {
-        self.attrs[attr_id].1
-    }
-
-    /// The signature of `key` as a key of attribute `attr_id`.
-    fn key_sig(&self, attr_id: usize, interner: &reldb::SymbolTable, key: &[Value]) -> Option<u32> {
-        (key.len() == self.arity(attr_id))
-            .then(|| self.keys.key_sig(interner, key))
-            .flatten()
-    }
-
-    /// The node of attribute `attr_id` keyed `key`, if any.
-    fn node_of_key(
-        &self,
-        attr_id: usize,
-        interner: &reldb::SymbolTable,
-        key: &[Value],
-    ) -> Option<NodeId> {
-        let sig = self.key_sig(attr_id, interner, key)?;
-        self.lookup(attr_id, sig).map(GroundedNodeId::index)
-    }
-
-    /// Read-only lookup of the node with signature `sig`.
-    fn lookup(&self, attr_id: usize, sig: u32) -> Option<GroundedNodeId> {
-        match self.ids[attr_id].get(sig as usize) {
-            Some(&id) if id != GroundedNodeId::NONE => Some(id),
-            _ => None,
-        }
-    }
-
-    /// The node with signature `sig`, appending one keyed `attr[key()]` to
-    /// the graph on first sight. This lookup-or-append is the only way
-    /// grounding creates nodes, so the table stays a complete index of the
-    /// graph and the graph never has to deduplicate.
-    fn intern(
-        &mut self,
-        graph: &mut CausalGraph,
-        attr_id: usize,
-        sig: u32,
-        key: impl FnOnce() -> CarlResult<UnitKey>,
-    ) -> CarlResult<NodeId> {
-        let ids = &mut self.ids[attr_id];
-        let slot = sig as usize;
-        if slot >= ids.len() {
-            ids.resize(slot + 1, GroundedNodeId::NONE);
-        }
-        if ids[slot] != GroundedNodeId::NONE {
-            return Ok(ids[slot].index());
-        }
-        let id = graph.push_node(GroundedAttr::new(&self.attrs[attr_id].0, key()?));
-        debug_assert_eq!(id, self.sigs.len(), "the node table creates every node");
-        self.ids[attr_id][slot] = GroundedNodeId::from_node(id);
-        self.sigs.push(NodeSig {
-            attr: u32::try_from(attr_id).expect("attribute ids fit u32"),
-            sig,
-        });
-        Ok(id)
-    }
-
-    /// The graph node for attribute `attr_id` grounded with the row's
-    /// argument values, creating it on first sight.
-    fn node_id(
-        &mut self,
-        graph: &mut CausalGraph,
-        attr_id: usize,
-        spec: &[ArgSlot],
-        row: &[Sym],
-        answers: &TupleAnswers<'_>,
-    ) -> CarlResult<NodeId> {
-        let sig = self.keys.intern_row(spec, row)?;
-        self.intern(graph, attr_id, sig, || resolve_args(spec, row, answers))
-    }
 }
 
 /// Residual (non-equality) comparisons compiled against an answer's slot
@@ -829,7 +524,7 @@ pub fn ground(model: &RelationalCausalModel, instance: &Instance) -> CarlResult<
             .collect())
     };
 
-    let mut graph = CausalGraph::new();
+    let mut graph = CausalGraph::with_skeleton(instance.skeleton_shared());
     for (rule, prep) in model.rules().iter().zip(&rules) {
         for binding in &answers(prep)? {
             let head_key = substitute(&rule.head.args, binding)?;
@@ -875,11 +570,11 @@ pub fn ground(model: &RelationalCausalModel, instance: &Instance) -> CarlResult<
             for source in sources {
                 graph.add_edge(source, head);
                 let node = graph.node(source);
-                let value = derived.get(node).copied();
+                let value = derived.get(&node).copied();
                 values.extend(value.or_else(|| instance.attribute_f64(&node.attr, &node.key)));
             }
             if let Some(v) = agg_fn.apply(&values) {
-                derived.insert(graph.node(head).clone(), v);
+                derived.insert(graph.node(head), v);
             }
         }
     }
@@ -898,7 +593,7 @@ pub fn ground(model: &RelationalCausalModel, instance: &Instance) -> CarlResult<
 /// replacement for [`GroundedModel::derived`].
 ///
 /// One [`FloatColumn`] + null-bitmap sink per aggregate-derived attribute,
-/// indexed by [`NodeTable`] attribute id and then by key signature: the
+/// indexed by graph attribute id and then by key signature: the
 /// column's null bitmap marks signatures that never derived a value, so a
 /// lookup is one bounds check and one bit test instead of a sorted-map walk
 /// over string-keyed [`GroundedAttr`]s.
@@ -910,12 +605,13 @@ struct DerivedStore {
 
 impl DerivedStore {
     /// The column of an attribute, when an aggregate derives it.
-    fn column(&self, attr_id: usize) -> Option<&FloatColumn> {
-        self.columns.get(attr_id)?.as_ref()
+    fn column(&self, attr_id: u32) -> Option<&FloatColumn> {
+        self.columns.get(attr_id as usize)?.as_ref()
     }
 
     /// Register attribute `attr_id` (named `name`) as aggregate-derived.
-    fn register(&mut self, attr_id: usize, name: &str) {
+    fn register(&mut self, attr_id: u32, name: &str) {
+        let attr_id = attr_id as usize;
         if attr_id >= self.columns.len() {
             self.columns.resize(attr_id + 1, None);
         }
@@ -923,13 +619,13 @@ impl DerivedStore {
     }
 
     /// The derived value with signature `sig`, if any.
-    fn get(&self, attr_id: usize, sig: u32) -> Option<f64> {
+    fn get(&self, attr_id: u32, sig: u32) -> Option<f64> {
         self.column(attr_id)?.get(sig as usize)
     }
 
     /// Store a derived value of a registered attribute.
-    fn set(&mut self, attr_id: usize, sig: u32, value: f64) {
-        self.columns[attr_id]
+    fn set(&mut self, attr_id: u32, sig: u32, value: f64) {
+        self.columns[attr_id as usize]
             .as_mut()
             .expect("derived attribute registered")
             .set(sig as usize, value);
@@ -938,48 +634,41 @@ impl DerivedStore {
     /// Remove a derived value (the patch path's inverse of
     /// [`DerivedStore::set`]): the cell reverts to null, exactly as if the
     /// aggregate had never produced a value for this signature.
-    fn unset(&mut self, attr_id: usize, sig: u32) {
-        self.columns[attr_id]
+    fn unset(&mut self, attr_id: u32, sig: u32) {
+        self.columns[attr_id as usize]
             .as_mut()
             .expect("derived attribute registered")
             .unset(sig as usize);
     }
 }
 
-/// The result of [`ground_streaming`]: the grounded causal graph, its node
-/// table and the derived aggregate values in dense signature-indexed
-/// columns.
+/// The result of [`ground_streaming`]: the grounded causal graph, which
+/// stores every node's identity, and the derived aggregate values in dense
+/// signature-indexed columns.
 ///
 /// Semantically this is a [`GroundedModel`] — the graph is identical node
 /// for node and edge for edge, and [`StreamedModel::value_of`] returns
 /// bit-identical values — but derived values never pass through a sorted
 /// `GroundedAttr`-keyed map: aggregate answers streamed straight off the
-/// query executor into per-attribute [`FloatColumn`] sinks. Every node has
-/// a `(attribute id, key signature)` identity, so the layers read nodes,
+/// query executor into per-attribute [`FloatColumn`] sinks. Every node is
+/// an `(attribute id, key signature)` label, so the layers read nodes,
 /// derived cells and observed cells by signature; key-addressed probes
 /// resolve a key to its signature once. The materialised form is what the
 /// reference grounder ([`ground`]) returns.
 #[derive(Debug, Clone)]
 pub struct StreamedModel {
     /// The grounded relational causal graph `G(Φ_Δ)` (bit-identical to the
-    /// graph [`ground`] produces for the same inputs). Behind an `Arc`: an
+    /// graph [`ground`] produces for the same inputs), with its node store
+    /// and the skeleton its key signatures index. Behind an `Arc`: an
     /// attribute-only delta patch (`patch_streamed`) rewrites derived
     /// *values* but never the graph, so patched epochs share one graph
-    /// allocation instead of deep-cloning it per commit.
+    /// allocation instead of deep-cloning it per commit, and query
+    /// extensions layer their key tables over it in place. The skeleton's
+    /// interner is append-only, so signatures stay valid across those
+    /// patches.
     pub graph: Arc<CausalGraph>,
-    /// Derived values, by node-table attribute id and key signature.
+    /// Derived values, by graph attribute id and key signature.
     derived: DerivedStore,
-    /// The `(attribute, signature)` → node memo of the merge, with its key
-    /// table, retained so key probes and query-synthesised aggregate
-    /// extensions resolve to nodes without re-hashing [`GroundedAttr`]s.
-    /// `Arc`-shared across patched epochs for the same reason as `graph`.
-    nodes: Arc<NodeTable>,
-    /// The skeleton this model was grounded against, retained for its
-    /// interner: key probes resolve values to symbols through it. The
-    /// interner is append-only, so symbols stay valid across the
-    /// attribute-only epoch patches that share this model's graph and node
-    /// table.
-    skeleton: Arc<reldb::Skeleton>,
 }
 
 impl StreamedModel {
@@ -992,33 +681,26 @@ impl StreamedModel {
 
     /// The derived value of `attr[key]`, if an aggregate derived one.
     fn derived_of(&self, attr: &str, key: &[Value]) -> Option<f64> {
-        let attr_id = self.nodes.lookup_attr(attr)?;
+        let attr_id = self.graph.lookup_attr(attr)?;
         let column = self.derived.column(attr_id)?;
-        let sig = self.nodes.key_sig(attr_id, self.skeleton.interner(), key)?;
-        column.get(sig as usize)
+        column.get(self.graph.key_sig(attr_id, key)? as usize)
     }
 
-    /// The graph node grounding `attr` with `key`, resolved through the
-    /// interned node table: attribute name → dense id (one hash on a plain
-    /// `&str`), key values → signature, signature → node. No
-    /// [`GroundedAttr`] is built and nothing is fingerprinted, so hot
-    /// per-unit probes (peer discovery, dirty-cell patching) cost a couple
-    /// of array reads.
-    ///
-    /// Sound because the node table is a *complete* index of the graph:
-    /// the grounder creates every node — rule groundings and aggregate
-    /// heads alike — through the table's lookup-or-append, and every key
-    /// of every node has a signature. A key that fails to resolve therefore
-    /// names no node.
+    /// The graph node grounding `attr` with `key`
+    /// ([`CausalGraph::node_of`]): attribute name → dense id, key values →
+    /// signature, signature → node, with no [`GroundedAttr`] built.
     pub fn node_of(&self, attr: &str, key: &UnitKey) -> Option<NodeId> {
-        let attr_id = self.nodes.lookup_attr(attr)?;
-        self.nodes
-            .node_of_key(attr_id, self.skeleton.interner(), key)
+        self.graph.node_of(attr, key)
     }
 
-    /// Whether some node of this grounding has attribute `attr`.
-    pub(crate) fn grounds_attr(&self, attr: &str) -> bool {
-        self.nodes.lookup_attr(attr).is_some()
+    /// The observed numeric value of the node labelled `label`, whose
+    /// attribute's cells `source` reads.
+    fn observed(&self, source: &ObservedSource<'_>, label: NodeLabel) -> Option<f64> {
+        let keys = self.graph.keys();
+        keys.with_args(self.graph.attr_arity(label.attr), label.sig, |args| {
+            source.cell(keys, args)
+        })
+        .and_then(Value::as_f64)
     }
 }
 
@@ -1031,59 +713,25 @@ impl GroundedValues for StreamedModel {
         StreamedModel::value_of(self, instance, node)
     }
 
-    fn node_of(&self, attr: &str, key: &UnitKey) -> Option<NodeId> {
-        StreamedModel::node_of(self, attr, key)
-    }
-
-    /// The nodes grounding `attr` for `units`: by unit symbol (the key
-    /// signature of a one-argument key) when the units carry symbols, by
-    /// key otherwise.
-    fn unit_nodes(&self, attr: &str, units: UnitRows<'_>) -> Vec<Option<NodeId>> {
-        match (self.nodes.lookup_attr(attr), units.syms) {
-            (None, _) => vec![None; units.len()],
-            (Some(attr_id), Some(syms)) if self.nodes.arity(attr_id) == 1 => syms
-                .iter()
-                .map(|&s| {
-                    self.nodes
-                        .lookup(attr_id, sym_sig(s))
-                        .map(GroundedNodeId::index)
-                })
-                .collect(),
-            (Some(attr_id), _) => units
-                .keys
-                .iter()
-                .map(|key| {
-                    self.nodes
-                        .node_of_key(attr_id, self.skeleton.interner(), key)
-                })
-                .collect(),
-        }
-    }
-
     /// The observed or derived values of `nodes`, read through their
-    /// recorded signatures: a derived column cell, else the instance's cell
-    /// for the key's symbols, each attribute resolved once per call. Equal
-    /// to [`StreamedModel::value_of`] of each node's grounded attribute;
+    /// labels: a derived column cell, else the instance's cell for the
+    /// key's symbols, each attribute resolved once per call. Equal to
+    /// [`StreamedModel::value_of`] of each node's grounded attribute;
     /// `instance` must be the instance this model grounds (or an
     /// attribute-only successor of it).
     fn node_values(&self, instance: &Instance, nodes: &[NodeId]) -> Vec<Option<f64>> {
-        let mut observed: Vec<Option<ObservedSource<'_>>> = vec![None; self.nodes.attrs.len()];
+        let mut observed: Vec<Option<ObservedSource<'_>>> = vec![None; self.graph.attr_count()];
         nodes
             .iter()
             .map(|&node| {
-                let NodeSig { attr, sig } = self.nodes.sigs[node];
-                let attr = attr as usize;
-                if let Some(v) = self.derived.get(attr, sig) {
+                let label = self.graph.label(node);
+                if let Some(v) = self.derived.get(label.attr, label.sig) {
                     return Some(v);
                 }
-                let (name, arity) = &self.nodes.attrs[attr];
-                let source =
-                    observed[attr].get_or_insert_with(|| ObservedSource::new(instance, name));
-                self.nodes
-                    .keys
-                    .with_args(*arity, sig, |args| source.cell(args))
-                    .unwrap_or_else(|| instance.attribute(name, &self.graph.node(node).key))
-                    .and_then(Value::as_f64)
+                let source = observed[label.attr as usize].get_or_insert_with(|| {
+                    ObservedSource::new(instance, self.graph.attr_name(label.attr))
+                });
+                self.observed(source, label)
             })
             .collect()
     }
@@ -1107,9 +755,9 @@ impl GroundedValues for StreamedModel {
                 .collect();
         };
         let derived = self
-            .nodes
+            .graph
             .lookup_attr(attr)
-            .filter(|&attr_id| self.nodes.arity(attr_id) == 1)
+            .filter(|&attr_id| self.graph.attr_arity(attr_id) == 1)
             .and_then(|attr_id| self.derived.column(attr_id));
         let reader = instance.attribute_reader(attr);
         syms.iter()
@@ -1167,8 +815,8 @@ const NO_GROUP: u32 = u32::MAX;
 struct RuleSpecs<'c> {
     residual: RowComparisons<'c>,
     head_spec: Vec<ArgSlot>,
-    head_attr_id: usize,
-    body_specs: Vec<(usize, Vec<ArgSlot>)>,
+    head_attr_id: u32,
+    body_specs: Vec<(u32, Vec<ArgSlot>)>,
 }
 
 /// Fold one batch of a rule condition's answers into the graph.
@@ -1178,7 +826,6 @@ struct RuleSpecs<'c> {
 /// (alias-analysable) parameters let it optimise like a plain loop.
 fn merge_rule_batch(
     specs: &RuleSpecs<'_>,
-    nodes: &mut NodeTable,
     graph: &mut CausalGraph,
     edges: &mut Vec<(u32, u32)>,
     answers: &TupleAnswers<'_>,
@@ -1187,9 +834,11 @@ fn merge_rule_batch(
         if !specs.residual.hold(row, answers) {
             continue;
         }
-        let head_id = nodes.node_id(graph, specs.head_attr_id, &specs.head_spec, row, answers)?;
+        let sig = row_sig(graph.keys_mut(), &specs.head_spec, row)?;
+        let head_id = graph.intern_node(specs.head_attr_id, sig);
         for (attr_id, spec) in &specs.body_specs {
-            let body_id = nodes.node_id(graph, *attr_id, spec, row, answers)?;
+            let sig = row_sig(graph.keys_mut(), spec, row)?;
+            let body_id = graph.intern_node(*attr_id, sig);
             edges.push((body_id as u32, head_id as u32));
         }
     }
@@ -1198,7 +847,6 @@ fn merge_rule_batch(
 
 /// One aggregate group under construction in the streamed merge.
 struct SGroup {
-    head_key: UnitKey,
     sig: u32,
     /// (source node, observed-or-derived value) per distinct source
     /// grounding, in first-seen order. The node is `None` only for
@@ -1229,9 +877,8 @@ impl<'c> AggSpecs<'c> {
         instance: &'c Instance,
         keys: &mut KeySigs,
     ) -> Self {
-        let interner = instance.skeleton().interner();
-        let head_spec = arg_slots(&agg.head_args, answers, interner, keys);
-        let source_spec = arg_slots(&agg.source.args, answers, interner, keys);
+        let head_spec = arg_slots(&agg.head_args, answers, keys);
+        let source_spec = arg_slots(&agg.source.args, answers, keys);
         let spec_error = first_unbound(&head_spec)
             .or_else(|| first_unbound(&source_spec))
             .map(str::to_string);
@@ -1264,7 +911,7 @@ struct AggTables {
 /// resolves a distinct source grounding to a node identity.
 ///
 /// The streamed cold merge *creates* graph nodes and signs keys in its own
-/// node table; a query-synthesised extension resolves read-only against an
+/// graph; a query-synthesised extension resolves read-only against an
 /// immutable base grounding and signs what the base lacks in its own key
 /// layer. Everything else — group discovery in first-seen order,
 /// `(group, source)` dedup, source-value memoisation — is shared, so the
@@ -1275,13 +922,8 @@ trait SourceResolver {
     fn keys(&mut self) -> &mut KeySigs;
 
     /// The node of the source grounding with signature `sig` (created on
-    /// first sight, keyed `key()`, by mutable resolvers; looked up
-    /// read-only otherwise).
-    fn node(
-        &mut self,
-        sig: u32,
-        key: impl FnOnce() -> CarlResult<UnitKey>,
-    ) -> CarlResult<Option<GroundedNodeId>>;
+    /// first sight by mutable resolvers; looked up read-only otherwise).
+    fn node(&mut self, sig: u32) -> Option<GroundedNodeId>;
 
     /// The source attribute's derived column, when an earlier aggregate
     /// derives it.
@@ -1310,55 +952,36 @@ impl<'a> ObservedSource<'a> {
     }
 
     /// The observed cell of the grounding whose key has argument symbols
-    /// `args`, read by those symbols; `None` when a pseudo-symbol, which
-    /// names no unit of the skeleton, makes the key readable only by value.
-    fn cell(&self, args: &[Sym]) -> Option<Option<&'a Value>> {
-        args.iter()
-            .all(|s| s.index() < self.skeleton_syms)
-            .then(|| self.reader.at_syms(args))
-    }
-
-    /// The observed numeric value of the grounding whose key has argument
-    /// symbols `args`: its [`ObservedSource::cell`], else read by `key()`.
-    fn value(
-        &self,
-        args: &[Sym],
-        key: impl FnOnce() -> CarlResult<UnitKey>,
-    ) -> CarlResult<Option<f64>> {
-        let value = match self.cell(args) {
-            Some(cell) => cell,
-            None => self.instance.attribute(self.attr, &key()?),
-        };
-        Ok(value.and_then(Value::as_f64))
+    /// `args` in `keys`: read by those symbols, or by the key's values when
+    /// a pseudo-symbol names no unit of the skeleton.
+    fn cell(&self, keys: &KeySigs, args: &[Sym]) -> Option<&'a Value> {
+        if args.iter().all(|s| s.index() < self.skeleton_syms) {
+            self.reader.at_syms(args)
+        } else {
+            self.instance.attribute(self.attr, &keys.key_of(args))
+        }
     }
 }
 
 /// The streamed cold merge's resolver: keys are signed and source nodes
-/// created in the grounding's own node table and graph; derived values
-/// come from its partially built store (aggregates over aggregates).
+/// created in the grounding's own graph; derived values come from its
+/// partially built store (aggregates over aggregates).
 struct MergeSources<'b> {
-    source_attr_id: usize,
+    source_attr_id: u32,
     /// The source attribute's derived column, when an earlier aggregate
     /// derived values for it.
     derived: Option<&'b FloatColumn>,
-    nodes: &'b mut NodeTable,
     graph: &'b mut CausalGraph,
 }
 
 impl SourceResolver for MergeSources<'_> {
     fn keys(&mut self) -> &mut KeySigs {
-        &mut self.nodes.keys
+        self.graph.keys_mut()
     }
 
-    fn node(
-        &mut self,
-        sig: u32,
-        key: impl FnOnce() -> CarlResult<UnitKey>,
-    ) -> CarlResult<Option<GroundedNodeId>> {
-        let id = self
-            .nodes
-            .intern(self.graph, self.source_attr_id, sig, key)?;
-        Ok(Some(GroundedNodeId::from_node(id)))
+    fn node(&mut self, sig: u32) -> Option<GroundedNodeId> {
+        let id = self.graph.intern_node(self.source_attr_id, sig);
+        Some(GroundedNodeId::from_node(id))
     }
 
     fn derived(&self) -> Option<&FloatColumn> {
@@ -1368,15 +991,15 @@ impl SourceResolver for MergeSources<'_> {
 
 /// A query-synthesised extension's resolver: keys the base grounding lacks
 /// are signed in the extension's own layer, source nodes are looked up
-/// read-only in the immutable base node table (sources absent from the
-/// base graph contribute their value but no node), derived values come
-/// from the base's sinks.
+/// read-only in the immutable base graph (sources absent from it
+/// contribute their value but no node), derived values come from the
+/// base's sinks.
 struct ExtensionSources<'a> {
     keys: &'a mut KeySigs,
-    base: &'a NodeTable,
-    /// The base node table's id for the source attribute, if it ever
-    /// grounded one.
-    source_attr_id: Option<usize>,
+    base: &'a CausalGraph,
+    /// The base graph's id for the source attribute, if it ever grounded
+    /// one.
+    source_attr_id: Option<u32>,
     derived: Option<&'a FloatColumn>,
 }
 
@@ -1385,14 +1008,11 @@ impl SourceResolver for ExtensionSources<'_> {
         self.keys
     }
 
-    fn node(
-        &mut self,
-        sig: u32,
-        _key: impl FnOnce() -> CarlResult<UnitKey>,
-    ) -> CarlResult<Option<GroundedNodeId>> {
-        Ok(self
-            .source_attr_id
-            .and_then(|attr_id| self.base.lookup(attr_id, sig)))
+    fn node(&mut self, sig: u32) -> Option<GroundedNodeId> {
+        let attr_id = self.source_attr_id?;
+        self.base
+            .lookup(attr_id, sig)
+            .map(GroundedNodeId::from_node)
     }
 
     fn derived(&self) -> Option<&FloatColumn> {
@@ -1423,7 +1043,7 @@ fn merge_agg_batch<R: SourceResolver>(
             return Err(unbound_error(var));
         }
         // Group of the row's head signature.
-        let sig = resolver.keys().intern_row(&specs.head_spec, row)?;
+        let sig = row_sig(resolver.keys(), &specs.head_spec, row)?;
         let slot = sig as usize;
         if slot >= t.group_of.len() {
             t.group_of.resize(slot + 1, NO_GROUP);
@@ -1431,7 +1051,6 @@ fn merge_agg_batch<R: SourceResolver>(
         if t.group_of[slot] == NO_GROUP {
             t.group_of[slot] = u32::try_from(t.groups.len()).expect("groups fit u32");
             t.groups.push(SGroup {
-                head_key: resolve_args(&specs.head_spec, row, answers)?,
                 sig,
                 sources: Vec::new(),
             });
@@ -1439,12 +1058,11 @@ fn merge_agg_batch<R: SourceResolver>(
         let gi = t.group_of[slot];
         // Distinct source groundings per group, with the value memoised
         // across groups on the source signature.
-        let ssig = resolver.keys().intern_row(&specs.source_spec, row)?;
+        let ssig = row_sig(resolver.keys(), &specs.source_spec, row)?;
         if !t.pair_seen.insert((u64::from(gi) << 32) | u64::from(ssig)) {
             continue;
         }
-        let key = || resolve_args(&specs.source_spec, row, answers);
-        let node = resolver.node(ssig, key)?;
+        let node = resolver.node(ssig);
         let slot = ssig as usize;
         if slot >= t.sval_state.len() {
             t.sval_state.resize(slot + 1, 0);
@@ -1456,11 +1074,13 @@ fn merge_agg_batch<R: SourceResolver>(
             _ => {
                 let value = match resolver.derived().and_then(|column| column.get(slot)) {
                     Some(v) => Some(v),
-                    None => resolver
-                        .keys()
-                        .with_args(specs.source_spec.len(), ssig, |args| {
-                            specs.observed.value(args, key)
-                        })?,
+                    None => {
+                        let keys = &*resolver.keys();
+                        keys.with_args(specs.source_spec.len(), ssig, |args| {
+                            specs.observed.cell(keys, args)
+                        })
+                        .and_then(Value::as_f64)
+                    }
                 };
                 match value {
                     Some(v) => {
@@ -1480,9 +1100,9 @@ fn merge_agg_batch<R: SourceResolver>(
 /// Ground `model` against `instance` on the fused streaming pipeline.
 ///
 /// Each condition's register-tuple chunks pipe straight off the executor
-/// into the merge — rule chunks fold into the
-/// grounded-node table and a flat edge buffer (folded into the graph's
-/// adjacency once, at the end), and aggregate chunks
+/// into the merge — rule chunks fold into the graph's nodes and a flat
+/// edge buffer (folded into the graph's adjacency once, at the end), and
+/// aggregate chunks
 /// fold into dense signature-indexed group tables whose results land in the
 /// per-attribute [`FloatColumn`] sinks of a [`StreamedModel`]. No
 /// `O(answers)` intermediate is ever resident and no string-keyed derived
@@ -1523,9 +1143,7 @@ pub fn ground_streaming(
         )?);
     }
 
-    let interner = instance.skeleton().interner();
-    let mut nodes = NodeTable::new(interner.len());
-    let mut graph = CausalGraph::new();
+    let mut graph = CausalGraph::with_skeleton(instance.skeleton_shared());
     // Every edge of the ground, in insertion order, folded into the graph
     // once both phases are done.
     let mut edges: Vec<(u32, u32)> = Vec::new();
@@ -1548,8 +1166,8 @@ pub fn ground_streaming(
                 if specs.is_none() {
                     let residual = RowComparisons::compile(&prep.residual, answers, instance);
                     let mut compile = |attr: &carl_lang::AttrRef| {
-                        let spec = arg_slots(&attr.args, answers, interner, &mut nodes.keys);
-                        (nodes.attr_id(&attr.attr, attr.args.len()), spec)
+                        let spec = arg_slots(&attr.args, answers, graph.keys_mut());
+                        (graph.attr_id(&attr.attr, attr.args.len()), spec)
                     };
                     let (head_attr_id, head_spec) = compile(&rule.head);
                     let body_specs = rule.body.iter().map(compile).collect();
@@ -1561,7 +1179,7 @@ pub fn ground_streaming(
                     });
                 }
                 let specs = specs.as_ref().expect("specs compiled above");
-                merge_rule_batch(specs, &mut nodes, &mut graph, &mut edges, answers)
+                merge_rule_batch(specs, &mut graph, &mut edges, answers)
             },
         )?;
     }
@@ -1588,9 +1206,9 @@ pub fn ground_streaming(
                         &prep.residual,
                         answers,
                         instance,
-                        &mut nodes.keys,
+                        graph.keys_mut(),
                     ));
-                    source_attr_id = nodes.attr_id(&agg.source.attr, agg.source.args.len());
+                    source_attr_id = graph.attr_id(&agg.source.attr, agg.source.args.len());
                 }
                 let specs = specs.as_ref().expect("specs compiled above");
                 // The source's derived column, when an earlier aggregate
@@ -1599,7 +1217,6 @@ pub fn ground_streaming(
                 let mut resolver = MergeSources {
                     source_attr_id,
                     derived: store.column(source_attr_id),
-                    nodes: &mut nodes,
                     graph: &mut graph,
                 };
                 merge_agg_batch(specs, &mut resolver, &mut tables, answers)
@@ -1607,13 +1224,12 @@ pub fn ground_streaming(
         )?;
 
         let agg_fn = agg_fn_of(agg.agg);
-        let head_attr_id = nodes.attr_id(&agg.name, agg.head_args.len());
+        let head_attr_id = graph.attr_id(&agg.name, agg.head_args.len());
         store.register(head_attr_id, &agg.name);
         for group in tables.groups {
             // A head an earlier statement already grounded (an aggregate of
             // the same name) resolves to that node.
-            let head_id =
-                nodes.intern(&mut graph, head_attr_id, group.sig, || Ok(group.head_key))?;
+            let head_id = graph.intern_node(head_attr_id, group.sig);
             let mut values = Vec::with_capacity(group.sources.len());
             for &(source_id, value) in &group.sources {
                 let source_id = source_id.expect("merge resolver creates every source node");
@@ -1635,8 +1251,6 @@ pub fn ground_streaming(
     Ok(StreamedModel {
         graph: Arc::new(graph),
         derived: store,
-        nodes: Arc::new(nodes),
-        skeleton: instance.skeleton_shared(),
     })
 }
 
@@ -1821,7 +1435,7 @@ impl PatchSafety {
 /// epochs differ only in the attribute cells listed in `changed` and that
 /// [`PatchSafety::delta_patchable`] held for the touched attributes.
 ///
-/// The graph and node table (with its key table) carry over untouched —
+/// The graph (with its node store and key table) carries over untouched —
 /// the eligibility check proved the structure identical. What can change
 /// are derived aggregate values, maintained by incremental view
 /// maintenance: for each aggregate in the same topological order the cold
@@ -1849,26 +1463,22 @@ pub(crate) fn patch_streamed(
     use std::collections::BTreeSet;
 
     let mut patched = base.clone();
-    let nodes = Arc::clone(&patched.nodes);
+    let graph = Arc::clone(&patched.graph);
 
-    // Dirty nodes per node-table attribute: seeded by the delta's
-    // observed-cell changes (a cell with no node feeds no group and
-    // affects nothing derived), extended by derived-value changes as
-    // aggregates cascade.
-    let mut dirty: BTreeMap<usize, Vec<NodeId>> = BTreeMap::new();
+    // Dirty nodes per graph attribute: seeded by the delta's observed-cell
+    // changes (a cell with no node feeds no group and affects nothing
+    // derived), extended by derived-value changes as aggregates cascade.
+    let mut dirty: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
     for (attr, key) in changed {
-        if let Some(node) = patched.node_of(attr, key) {
-            dirty
-                .entry(nodes.sigs[node].attr as usize)
-                .or_default()
-                .push(node);
+        if let Some(node) = graph.node_of(attr, key) {
+            dirty.entry(graph.label(node).attr).or_default().push(node);
         }
     }
 
     // Aggregates in the exact topological order `ground_streaming` merges
     // them in — the `registered` set reproduces its "derived lookups only
     // consult attributes an *earlier* aggregate registered" discipline.
-    let mut registered: BTreeSet<usize> = BTreeSet::new();
+    let mut registered: BTreeSet<u32> = BTreeSet::new();
     for (agg_idx, agg) in aggregates_in_order(model) {
         if model.aggregate_is_dead(agg_idx) {
             // The cold pipeline skips dead aggregates (they derive
@@ -1876,9 +1486,10 @@ pub(crate) fn patch_streamed(
             // attribute has no store entry to refold.
             continue;
         }
-        let head_attr = nodes.lookup_attr(&agg.name)?;
+        let head_attr = graph.lookup_attr(&agg.name)?;
         patched.derived.column(head_attr)?;
-        let source_attr = nodes.lookup_attr(&agg.source.attr);
+        let source_attr = graph.lookup_attr(&agg.source.attr);
+        let source = ObservedSource::new(instance, &agg.source.attr);
         let source_registered = source_attr.is_some_and(|a| registered.contains(&a));
         registered.insert(head_attr);
 
@@ -1887,8 +1498,8 @@ pub(crate) fn patch_streamed(
         let mut heads: BTreeSet<usize> = BTreeSet::new();
         if let Some(sources) = source_attr.and_then(|a| dirty.get(&a)) {
             for &sid in sources {
-                for &hid in patched.graph.children_of(sid) {
-                    if nodes.sigs[hid].attr as usize == head_attr {
+                for &hid in graph.children_of(sid) {
+                    if graph.label(hid).attr == head_attr {
                         heads.insert(hid);
                     }
                 }
@@ -1898,28 +1509,25 @@ pub(crate) fn patch_streamed(
         let agg_fn = agg_fn_of(agg.agg);
         for hid in heads {
             let mut values = Vec::new();
-            for &pid in patched.graph.parents_of(hid) {
-                let parent = nodes.sigs[pid];
-                if Some(parent.attr as usize) != source_attr {
+            for &pid in graph.parents_of(hid) {
+                let parent = graph.label(pid);
+                if Some(parent.attr) != source_attr {
                     // Parents this patch does not understand — give up and
                     // let the caller re-ground cold.
                     return None;
                 }
                 let v = if source_registered {
-                    patched.derived.get(parent.attr as usize, parent.sig)
+                    patched.derived.get(parent.attr, parent.sig)
                 } else {
                     None
                 }
-                .or_else(|| {
-                    let node = patched.graph.node(pid);
-                    instance.attribute_f64(&node.attr, &node.key)
-                });
+                .or_else(|| patched.observed(&source, parent));
                 if let Some(v) = v {
                     values.push(v);
                 }
             }
             let new = agg_fn.apply(&values);
-            let sig = nodes.sigs[hid].sig;
+            let sig = graph.label(hid).sig;
             let old = patched.derived.get(head_attr, sig);
             if old.map(f64::to_bits) == new.map(f64::to_bits) {
                 continue;
@@ -1976,18 +1584,19 @@ pub struct AggregateExtension {
 impl AggregateExtension {
     /// The derived value of `node`, when it is a grounding of this
     /// extension's aggregate.
-    pub fn value_of(&self, instance: &Instance, node: &GroundedAttr) -> Option<f64> {
+    /// `_instance` is not read: the extension holds the skeleton its
+    /// signatures index.
+    pub fn value_of(&self, _instance: &Instance, node: &GroundedAttr) -> Option<f64> {
         if node.attr != self.attr {
             return None;
         }
-        let sig = self.head_sig(instance.skeleton().interner(), &node.key)?;
-        self.values.get(sig as usize)
+        self.values.get(self.head_sig(&node.key)? as usize)
     }
 
     /// The head signature of `key`, if it has one.
-    fn head_sig(&self, interner: &reldb::SymbolTable, key: &[Value]) -> Option<u32> {
+    fn head_sig(&self, key: &[Value]) -> Option<u32> {
         (key.len() == self.arity)
-            .then(|| self.keys.key_sig(interner, key))
+            .then(|| self.keys.key_sig(key))
             .flatten()
     }
 
@@ -2001,24 +1610,16 @@ impl AggregateExtension {
 
     /// The head signature of each unit, in unit order: its symbol when the
     /// units carry symbols and heads have one argument, else its key's.
-    fn unit_sigs(&self, interner: &reldb::SymbolTable, units: UnitRows<'_>) -> Vec<Option<u32>> {
+    fn unit_sigs(&self, units: UnitRows<'_>) -> Vec<Option<u32>> {
         match units.syms.filter(|_| self.arity == 1) {
             Some(syms) => syms.iter().map(|&s| Some(sym_sig(s))).collect(),
-            None => units
-                .keys
-                .iter()
-                .map(|key| self.head_sig(interner, key))
-                .collect(),
+            None => units.keys.iter().map(|key| self.head_sig(key)).collect(),
         }
     }
 
     /// The group derived for each unit, in unit order.
-    pub(crate) fn unit_groups(
-        &self,
-        interner: &reldb::SymbolTable,
-        units: UnitRows<'_>,
-    ) -> Vec<Option<usize>> {
-        self.unit_sigs(interner, units)
+    pub(crate) fn unit_groups(&self, units: UnitRows<'_>) -> Vec<Option<usize>> {
+        self.unit_sigs(units)
             .into_iter()
             .map(|sig| self.group_of_sig(sig?))
             .collect()
@@ -2026,11 +1627,19 @@ impl AggregateExtension {
 
     /// This extension's derived value for each unit, in unit order (what
     /// [`AggregateExtension::value_of`] gives `attr[unit]`).
-    pub(crate) fn unit_values(&self, instance: &Instance, units: UnitRows<'_>) -> Vec<Option<f64>> {
-        self.unit_sigs(instance.skeleton().interner(), units)
+    pub(crate) fn unit_values(&self, units: UnitRows<'_>) -> Vec<Option<f64>> {
+        self.unit_sigs(units)
             .into_iter()
             .map(|sig| self.values.get(sig? as usize))
             .collect()
+    }
+
+    /// The derived value of the head whose key of `arity` arguments has
+    /// signature `sig`.
+    pub(crate) fn sig_value(&self, arity: usize, sig: u32) -> Option<f64> {
+        (arity == self.arity)
+            .then(|| self.values.get(sig as usize))
+            .flatten()
     }
 
     /// Interned base-graph node ids of a group's sources.
@@ -2053,8 +1662,8 @@ pub fn ground_aggregate_extension(
 ) -> CarlResult<AggregateExtension> {
     let schema = model.schema();
     let prep = prep_condition(model, &agg.source.attr, &agg.source.args, &agg.condition)?;
-    let mut keys = KeySigs::over(Arc::clone(&base.nodes));
-    let source_attr_id = base.nodes.lookup_attr(&agg.source.attr);
+    let mut keys = KeySigs::over(Arc::clone(&base.graph));
+    let source_attr_id = base.graph.lookup_attr(&agg.source.attr);
     let derived = source_attr_id.and_then(|id| base.derived.column(id));
 
     let mut tables = AggTables::default();
@@ -2078,7 +1687,7 @@ pub fn ground_aggregate_extension(
             let specs = specs.as_ref().expect("specs compiled above");
             let mut resolver = ExtensionSources {
                 keys: &mut keys,
-                base: &base.nodes,
+                base: &base.graph,
                 source_attr_id,
                 derived,
             };
@@ -2224,8 +1833,8 @@ mod tests {
             assert_eq!(r.parents_of(id), s.parents_of(id), "{node}");
             assert_eq!(r.children_of(id), s.children_of(id), "{node}");
             assert_eq!(
-                reference.value_of(&instance, node).map(f64::to_bits),
-                streamed.value_of(&instance, node).map(f64::to_bits),
+                reference.value_of(&instance, &node).map(f64::to_bits),
+                streamed.value_of(&instance, &node).map(f64::to_bits),
                 "{node}"
             );
         }
@@ -2233,7 +1842,7 @@ mod tests {
 
     #[test]
     fn constants_absent_from_the_skeleton_ground_through_checked_pseudo_symbols() {
-        // Regression for the dense node table's `ids[sig]` indexing: a rule
+        // Regression for the graph's dense `by_sig` indexing: a rule
         // argument constant the skeleton never interned gets a pseudo-symbol
         // *past the interner range*. The dense per-attribute arrays must
         // grow to pseudo-signatures instead of indexing out of bounds — and
@@ -2312,7 +1921,7 @@ mod tests {
         let materialised = ground(&model, &instance).unwrap();
         let streamed = ground_streaming(&model, &instance, &cache).unwrap();
         for graph in [&materialised.graph, &*streamed.graph] {
-            let distinct: std::collections::HashSet<&GroundedAttr> =
+            let distinct: std::collections::HashSet<GroundedAttr> =
                 graph.iter().map(|(_, node)| node).collect();
             assert_eq!(distinct.len(), graph.node_count(), "duplicate nodes");
             assert_eq!(graph.nodes_of_attr("AVG_Score").len(), 3);
@@ -2324,7 +1933,7 @@ mod tests {
             let parents: Vec<&str> = graph
                 .parents_of(bob)
                 .iter()
-                .map(|&p| graph.node(p).attr.as_str())
+                .map(|&p| graph.attr_of(p))
                 .collect();
             assert_eq!(parents, ["Qualification", "Score"]);
             // The second aggregate's sources are the first one's heads.
@@ -2381,8 +1990,8 @@ mod tests {
         assert_eq!(patched.graph.edge_count(), cold.graph.edge_count());
         for (_, node) in cold.graph.iter() {
             assert_eq!(
-                patched.value_of(&next_inst, node).map(f64::to_bits),
-                cold.value_of(&next_inst, node).map(f64::to_bits),
+                patched.value_of(&next_inst, &node).map(f64::to_bits),
+                cold.value_of(&next_inst, &node).map(f64::to_bits),
                 "value mismatch at {node}"
             );
         }
@@ -2536,7 +2145,11 @@ mod tests {
         let quality_s1 = GroundedAttr::single("Quality", "s1");
         assert!(grounded.graph.node_id(&quality_s1).is_some());
         assert_eq!(grounded.value_of(&instance, &quality_s1), None);
-        assert_eq!(grounded.raw_value_of(&instance, &quality_s1), None);
+        // The streamed grounder agrees: a node, but no value.
+        let cache = IndexCache::for_instance(&instance);
+        let streamed = ground_streaming(&model, &instance, &cache).unwrap();
+        assert!(streamed.node_of("Quality", &quality_s1.key).is_some());
+        assert_eq!(streamed.value_of(&instance, &quality_s1), None);
     }
 
     #[test]

@@ -219,7 +219,7 @@ pub fn compute_peers_streamed(
 ) -> PeerMap {
     let syms = UnitRows::resolve(units, instance.skeleton().interner());
     let rows = UnitRows::with_syms(units, syms.as_deref(), instance.skeleton().interner());
-    compute_peers_streamed_rows(base, ext, treatment_attr, rows, units.into(), instance)
+    compute_peers_streamed_rows(base, ext, treatment_attr, rows, units.into())
 }
 
 /// [`compute_peers_streamed`] over units with their row addressing;
@@ -230,7 +230,6 @@ pub(crate) fn compute_peers_streamed_rows(
     treatment_attr: &str,
     units: UnitRows<'_>,
     shared: Arc<[UnitKey]>,
-    instance: &Instance,
 ) -> PeerMap {
     let graph = &base.graph;
     let n = graph.node_count();
@@ -238,7 +237,7 @@ pub(crate) fn compute_peers_streamed_rows(
     // Source node id → rows of the units whose (virtual) response group it
     // feeds, as CSR: `fed[feed_start[s]..feed_start[s + 1]]`. A source can
     // feed several groups.
-    let groups = ext.unit_groups(instance.skeleton().interner(), units);
+    let groups = ext.unit_groups(units);
     let mut feed_start: Vec<u32> = vec![0; n + 1];
     for &group in groups.iter().flatten() {
         for &sid in ext.sources_of(group) {

@@ -59,7 +59,7 @@ pub fn compute_peers_rowwise<G: GroundedValues>(
     let unit_index: HashMap<&UnitKey, usize> =
         units.iter().enumerate().map(|(i, u)| (u, i)).collect();
     let mut response_of: Vec<usize> = vec![usize::MAX; n];
-    for &rid in graph.nodes_of_attr(response_attr) {
+    for rid in graph.nodes_of_attr(response_attr) {
         if let Some(&ui) = unit_index.get(&graph.node(rid).key) {
             response_of[rid] = ui;
         }
@@ -73,9 +73,7 @@ pub fn compute_peers_rowwise<G: GroundedValues>(
     let mut stamps: Vec<u32> = vec![0; n];
     let mut stack: Vec<usize> = Vec::new();
     for (pi, p) in units.iter().enumerate() {
-        // Interned node lookup where the grounding supports it (streamed
-        // models resolve through symbol signatures); the default probes the
-        // graph's fingerprint index.
+        // The graph's node lookup, by attribute id and key signature.
         let Some(tid) = grounded.node_of(treatment_attr, p) else {
             continue;
         };
@@ -169,7 +167,7 @@ pub fn covariates_rowwise<G: GroundedValues>(
                     return None;
                 }
                 grounded
-                    .value_of(instance, parent)
+                    .value_of(instance, &parent)
                     .map(|v| (parent.attr.clone(), v))
             })
             .collect()

@@ -406,6 +406,14 @@ impl Instance {
     /// present, `Ok(false)` if absent; errors only on an unknown or
     /// non-relationship predicate.
     pub fn delete_relationship(&mut self, rel: &str, tuple: &[Value]) -> RelResult<bool> {
+        Ok(self.delete_relationships(rel, &[tuple])?[0])
+    }
+
+    /// Remove a batch of tuples of relationship `rel` in one compaction of
+    /// its rows (see [`Skeleton::remove_relationships`]). Returns, per
+    /// tuple, whether it was present and not already removed by an earlier
+    /// tuple of the batch; errors as [`Instance::delete_relationship`].
+    pub fn delete_relationships(&mut self, rel: &str, tuples: &[&[Value]]) -> RelResult<Vec<bool>> {
         if self.schema.predicate_positions(rel).is_none() {
             return Err(RelError::UnknownPredicate(rel.to_string()));
         }
@@ -414,12 +422,15 @@ impl Instance {
                 "`{rel}` is an entity, not a relationship"
             )));
         }
-        // Probe before `make_mut`: a retraction of an absent tuple must
-        // stay a no-op, not force a deep copy of a shared skeleton.
-        if !self.skeleton.has_relationship(rel, tuple) {
-            return Ok(false);
+        // Probe before `make_mut`: a retraction of absent tuples must stay
+        // a no-op, not force a deep copy of a shared skeleton.
+        if !tuples
+            .iter()
+            .any(|t| self.skeleton.has_relationship(rel, t))
+        {
+            return Ok(vec![false; tuples.len()]);
         }
-        Ok(Arc::make_mut(&mut self.skeleton).remove_relationship(rel, tuple))
+        Ok(Arc::make_mut(&mut self.skeleton).remove_relationships(rel, tuples))
     }
 
     /// Remove the assignment of attribute `attr` for unit `key`. Returns
@@ -464,7 +475,9 @@ impl Instance {
     pub fn apply_with_delta(&self, mutations: &[Mutation]) -> RelResult<(Instance, DeltaSet)> {
         let mut next = self.clone();
         let mut delta = DeltaSet::default();
-        for m in mutations {
+        let mut rest = mutations;
+        while let Some((m, tail)) = rest.split_first() {
+            rest = tail;
             match m {
                 Mutation::InsertEntity { entity, key } => {
                     let present = next.skeleton.has_entity(entity, key);
@@ -487,10 +500,23 @@ impl Instance {
                     }
                 }
                 Mutation::DeleteRelationship { rel, tuple } => {
-                    if next.delete_relationship(rel, tuple)? {
+                    // The run of deletes from `rel` starting here goes in
+                    // one compaction.
+                    let mut tuples = vec![tuple.as_slice()];
+                    while let Some((Mutation::DeleteRelationship { rel: r, tuple }, tail)) =
+                        rest.split_first()
+                    {
+                        if r != rel {
+                            break;
+                        }
+                        tuples.push(tuple);
+                        rest = tail;
+                    }
+                    let removed = next.delete_relationships(rel, &tuples)?;
+                    for (tuple, _) in tuples.iter().zip(removed).filter(|(_, r)| *r) {
                         delta.push(DeltaOp::RelationshipRemoved {
                             rel: rel.clone(),
-                            tuple: tuple.clone(),
+                            tuple: tuple.to_vec(),
                         });
                     }
                 }
@@ -942,6 +968,46 @@ mod tests {
                 .expect("rewrite of identical value");
             b.fingerprint()
         });
+    }
+
+    #[test]
+    fn a_run_of_deletes_matches_deleting_one_mutation_at_a_time() {
+        let base = Instance::review_example();
+        let delete = |rel: &str, a: &str, s: &str| Mutation::DeleteRelationship {
+            rel: rel.into(),
+            tuple: vec![Value::from(a), Value::from(s)],
+        };
+        let batch = [
+            delete("Author", "Eva", "s2"),
+            delete("Author", "Carlos", "s1"), // absent
+            delete("Author", "Bob", "s1"),
+            delete("Author", "Eva", "s2"), // repeated
+            delete("Submitted", "s1", "ConfDB"),
+            delete("Author", "Eva", "s3"),
+        ];
+        let (batched, delta) = base.apply_with_delta(&batch).expect("batch applies");
+        let mut one_by_one = base.clone();
+        let mut ops = Vec::new();
+        for m in &batch {
+            let (next, d) = one_by_one
+                .apply_with_delta(std::slice::from_ref(m))
+                .unwrap();
+            ops.extend(d.ops().iter().cloned());
+            one_by_one = next;
+        }
+        assert_eq!(delta.ops(), ops.as_slice());
+        assert_eq!(delta.len(), 4);
+        assert_eq!(batched.fingerprint(), one_by_one.fingerprint());
+        let rows = |i: &Instance| {
+            i.skeleton()
+                .relationship_tuples("Author")
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(rows(&batched), rows(&one_by_one), "stored order");
+        // A run naming an unknown relationship fails the whole batch.
+        assert!(base
+            .apply_with_delta(&[delete("Author", "Eva", "s2"), delete("Nope", "a", "b")])
+            .is_err());
     }
 
     #[test]

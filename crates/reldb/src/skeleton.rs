@@ -135,15 +135,18 @@ impl Relation {
             .push(u32::try_from(self.syms.len()).expect("more than u32::MAX tuple components"));
     }
 
-    /// Remove row `row`. Every later row shifts down by one, so the
-    /// positional indexes are rebuilt.
-    fn remove(&mut self, row: usize) {
-        let (start, end) = (self.offsets[row], self.offsets[row + 1]);
-        self.syms.drain(start as usize..end as usize);
-        self.offsets.remove(row + 1);
-        for offset in &mut self.offsets[row + 1..] {
-            *offset -= end - start;
+    /// Remove the rows `drop` marks, in one compaction that keeps the
+    /// others in stored order. Later rows shift down, so the positional
+    /// indexes are rebuilt, once.
+    fn remove_rows(&mut self, drop: &[bool]) {
+        let mut syms = Vec::with_capacity(self.syms.len());
+        let mut offsets = vec![0];
+        for (tuple, _) in self.rows().iter().zip(drop).filter(|(_, &d)| !d) {
+            syms.extend_from_slice(tuple);
+            offsets.push(u32::try_from(syms.len()).expect("no longer than before"));
         }
+        self.syms = syms;
+        self.offsets = offsets;
         let mut index = Vec::new();
         for (r, tuple) in self.rows().iter().enumerate() {
             index_row(&mut index, r as u32, tuple);
@@ -247,19 +250,30 @@ impl Skeleton {
     /// interner is append-only and untouched: symbols issued earlier stay
     /// valid.
     pub fn remove_relationship(&mut self, rel: &str, tuple: &[Value]) -> bool {
-        let Some(syms) = self.syms_of(tuple) else {
-            return false;
-        };
+        self.remove_relationships(rel, &[tuple])[0]
+    }
+
+    /// Remove a batch of tuples of `rel` in one compaction of its rows, so
+    /// the batch costs one rebuild of the positional indexes rather than
+    /// one per tuple. Returns, per tuple, whether it was removed: `false`
+    /// for a tuple that was absent or repeats an earlier one of the batch,
+    /// exactly as removing them one at a time would report.
+    pub fn remove_relationships(&mut self, rel: &str, tuples: &[&[Value]]) -> Vec<bool> {
+        let mut removed = vec![false; tuples.len()];
+        let found: Vec<Option<Vec<Sym>>> = tuples.iter().map(|t| self.syms_of(t)).collect();
         let Some(relation) = self.relationships.get_mut(rel) else {
-            return false;
+            return removed;
         };
-        match relation.find(&syms) {
-            Some(row) => {
-                relation.remove(row);
-                true
+        let mut drop = vec![false; relation.rows().len()];
+        for (syms, removed) in found.iter().zip(&mut removed) {
+            if let Some(row) = syms.as_deref().and_then(|syms| relation.find(syms)) {
+                *removed = !std::mem::replace(&mut drop[row], true);
             }
-            None => false,
         }
+        if removed.contains(&true) {
+            relation.remove_rows(&drop);
+        }
+        removed
     }
 
     /// The symbols of `tuple`, if every component has been interned.

@@ -7,13 +7,15 @@
 //! `Value` equality, each value replaced by the first value equal to it
 //! that was ever added (the interner's representative).
 //!
-//! Random sequences of entity adds and relationship adds and removes —
-//! duplicates, zero-arity and mixed-arity tuples, and the `Value`-equal
-//! keys `Int(2)` and `Float(2.0)` included — are applied to both. After
-//! every operation the two must agree on counts, stored order (variant for
-//! variant), `has_relationship`, `rows_with` at every position, `units_of`,
-//! and the fingerprint, which must equal that of a skeleton rebuilt from
-//! the model's rows.
+//! Random sequences of entity adds, relationship adds and removes, and
+//! batched removes (`remove_relationships`, absent and repeated tuples
+//! included) — duplicates, zero-arity and mixed-arity tuples, and the
+//! `Value`-equal keys `Int(2)` and `Float(2.0)` included — are applied to
+//! both. After every operation the two must agree on what each remove
+//! reported, counts, stored order (variant for variant),
+//! `has_relationship`, `rows_with` at every position, `units_of`, and the
+//! fingerprint, which must equal that of a skeleton rebuilt from the
+//! model's rows.
 
 use proptest::prelude::*;
 use reldb::{RelationalSchema, Skeleton, UnitKey, Value};
@@ -49,6 +51,7 @@ enum Op {
     AddEntity(&'static str, Value),
     AddRelationship(&'static str, UnitKey),
     RemoveRelationship(&'static str, UnitKey),
+    RemoveBatch(&'static str, Vec<UnitKey>),
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -56,6 +59,8 @@ fn op() -> impl Strategy<Value = Op> {
         2 => (0..CLASSES.len(), value()).prop_map(|(c, key)| Op::AddEntity(CLASSES[c], key)),
         3 => (0..RELS.len(), tuple()).prop_map(|(r, t)| Op::AddRelationship(RELS[r], t)),
         2 => (0..RELS.len(), tuple()).prop_map(|(r, t)| Op::RemoveRelationship(RELS[r], t)),
+        1 => (0..RELS.len(), proptest::collection::vec(tuple(), 0..6))
+            .prop_map(|(r, ts)| Op::RemoveBatch(RELS[r], ts)),
     ]
 }
 
@@ -77,7 +82,8 @@ impl Model {
         value.clone()
     }
 
-    fn apply(&mut self, op: &Op) {
+    /// Apply `op`, returning what each of its removes reported.
+    fn apply(&mut self, op: &Op) -> Vec<bool> {
         match op {
             Op::AddEntity(class, key) => {
                 let key = self.representative(key);
@@ -85,6 +91,7 @@ impl Model {
                 if !keys.contains(&key) {
                     keys.push(key);
                 }
+                vec![]
             }
             Op::AddRelationship(rel, tuple) => {
                 let tuple: UnitKey = tuple.iter().map(|v| self.representative(v)).collect();
@@ -92,14 +99,23 @@ impl Model {
                 if !rows.contains(&tuple) {
                     rows.push(tuple);
                 }
+                vec![]
             }
-            Op::RemoveRelationship(rel, tuple) => {
-                if let Some(rows) = self.relationships.get_mut(*rel) {
-                    if let Some(row) = rows.iter().position(|r| r == tuple) {
-                        rows.remove(row);
-                    }
-                }
+            Op::RemoveRelationship(rel, tuple) => vec![self.remove(rel, tuple)],
+            Op::RemoveBatch(rel, tuples) => tuples.iter().map(|t| self.remove(rel, t)).collect(),
+        }
+    }
+
+    fn remove(&mut self, rel: &str, tuple: &[Value]) -> bool {
+        let Some(rows) = self.relationships.get_mut(rel) else {
+            return false;
+        };
+        match rows.iter().position(|r| r == tuple) {
+            Some(row) => {
+                rows.remove(row);
+                true
             }
+            None => false,
         }
     }
 
@@ -125,12 +141,20 @@ impl Model {
     }
 }
 
-fn apply(sk: &mut Skeleton, op: &Op) {
+fn apply(sk: &mut Skeleton, op: &Op) -> Vec<bool> {
     match op {
-        Op::AddEntity(class, key) => sk.add_entity(class, key.clone()),
-        Op::AddRelationship(rel, tuple) => sk.add_relationship(rel, tuple.clone()),
-        Op::RemoveRelationship(rel, tuple) => {
-            sk.remove_relationship(rel, tuple);
+        Op::AddEntity(class, key) => {
+            sk.add_entity(class, key.clone());
+            vec![]
+        }
+        Op::AddRelationship(rel, tuple) => {
+            sk.add_relationship(rel, tuple.clone());
+            vec![]
+        }
+        Op::RemoveRelationship(rel, tuple) => vec![sk.remove_relationship(rel, tuple)],
+        Op::RemoveBatch(rel, tuples) => {
+            let tuples: Vec<&[Value]> = tuples.iter().map(Vec::as_slice).collect();
+            sk.remove_relationships(rel, &tuples)
         }
     }
 }
@@ -232,10 +256,14 @@ proptest! {
         let mut sk = Skeleton::new();
         let mut model = Model::default();
         for op in &ops {
-            apply(&mut sk, op);
-            model.apply(op);
+            assert_eq!(apply(&mut sk, op), model.apply(op), "{op:?} reported");
             let mut probes = probes.clone();
-            if let Op::AddRelationship(_, t) | Op::RemoveRelationship(_, t) = op {
+            let touched = match op {
+                Op::AddRelationship(_, t) | Op::RemoveRelationship(_, t) => vec![t.clone()],
+                Op::RemoveBatch(_, ts) => ts.clone(),
+                Op::AddEntity(..) => vec![],
+            };
+            for t in touched {
                 for rel in RELS {
                     probes.push((rel, t.clone()));
                 }
@@ -270,11 +298,52 @@ fn duplicates_empty_and_mixed_arity_tuples_are_stored_once() {
     let mut model = Model::default();
     let probes = vec![("Writes", vec![]), ("Writes", vec![a.clone()])];
     for op in &ops {
-        apply(&mut sk, op);
-        model.apply(op);
+        assert_eq!(apply(&mut sk, op), model.apply(op), "{op:?} reported");
         check(&sk, &model, &schema, &probes);
     }
     assert_eq!(sk.entity_count("Person"), 1);
     assert_eq!(sk.relationship_count("Writes"), 3);
     assert_eq!(sk.relationship_count("Cites"), 0);
+}
+
+/// A batch removes each present tuple once, in one compaction that keeps
+/// the remaining rows in stored order; absent and repeated tuples report
+/// `false`.
+#[test]
+fn batched_removes_match_removing_one_at_a_time() {
+    let schema = schema();
+    let v = |i: i64| Value::Int(i);
+    let mut ops: Vec<Op> = (0..8)
+        .map(|i| Op::AddRelationship("Writes", vec![v(i), v(i % 3)]))
+        .collect();
+    ops.push(Op::AddRelationship("Writes", vec![]));
+    ops.push(Op::RemoveBatch(
+        "Writes",
+        vec![
+            vec![v(6), v(0)],
+            vec![v(1), v(1)],
+            vec![v(9), v(0)],
+            vec![Value::Float(6.0), v(0)],
+            vec![],
+            vec![v(7)],
+            vec![v(0), v(0)],
+        ],
+    ));
+    ops.push(Op::RemoveBatch("Cites", vec![vec![v(1), v(1)]]));
+    ops.push(Op::RemoveBatch("Writes", vec![]));
+    let mut sk = Skeleton::new();
+    let mut model = Model::default();
+    let mut reported = Vec::new();
+    for op in &ops {
+        let got = apply(&mut sk, op);
+        assert_eq!(got, model.apply(op), "{op:?} reported");
+        reported.push(got);
+        check(&sk, &model, &schema, &[]);
+    }
+    assert_eq!(
+        reported[9],
+        [true, true, false, false, true, false, true],
+        "the batch's reports"
+    );
+    assert_eq!(sk.relationship_count("Writes"), 5);
 }

@@ -14,9 +14,11 @@
 //!   included).
 //!
 //! The checked-in digests were captured before the graph's node identity
-//! moved to the grounder's node table and its adjacency started being
-//! folded in bulk; any change to node order, edge order or a derived bit
-//! shows up here as a digest mismatch.
+//! moved to the grounder's node table, before the graph became the one
+//! node store and before its adjacency started being folded in bulk; any
+//! change to node order, edge order or a derived bit shows up here as a
+//! digest mismatch. Every node's rendering must also resolve back to the
+//! node itself.
 
 use carl::graph::CausalGraph;
 use carl::CarlEngine;
@@ -68,6 +70,8 @@ fn digest(graph: &CausalGraph, value_of: impl Fn(usize) -> Option<f64>) -> u64 {
     h.u64(graph.node_count() as u64);
     h.u64(graph.edge_count() as u64);
     for (id, node) in graph.iter() {
+        // Every node's rendering resolves back to the node itself.
+        assert_eq!(graph.node_id(&node), Some(id), "{node}");
         h.bytes(node.to_string().as_bytes());
         h.bytes(&[0xff]);
         h.ids(graph.parents_of(id));
@@ -90,10 +94,10 @@ fn digests(instance: &Instance, rules: &str) -> (u64, u64) {
     let materialised = engine.ground_model().expect("materialised grounding");
     let instance = engine.instance();
     let s = digest(&streamed.graph, |id| {
-        streamed.value_of(instance, streamed.graph.node(id))
+        streamed.value_of(instance, &streamed.graph.node(id))
     });
     let m = digest(&materialised.graph, |id| {
-        materialised.value_of(instance, materialised.graph.node(id))
+        materialised.value_of(instance, &materialised.graph.node(id))
     });
     (s, m)
 }

@@ -15,8 +15,9 @@
 //! environment variables are read once per process and mutating them would
 //! race tests running concurrently in the same binary), and every flip is
 //! restored before the assertion so other tests see the default. Tests in
-//! this binary that flip knobs or read [`rayon::scheduler_stats`] hold the
-//! [`KNOBS`] lock so they serialise against each other.
+//! this binary that flip knobs, read [`rayon::scheduler_stats`] or count
+//! grounded-attribute constructions hold the [`KNOBS`] lock so they
+//! serialise against each other.
 
 use carl::{digest_answer, CarlEngine, GroundedValues};
 use carl_datagen::{generate_synthetic_review, SyntheticReviewConfig};
@@ -47,7 +48,7 @@ fn canonical(g: &impl GroundedValues, instance: &Instance) -> Canonical {
                 node.to_string(),
                 graph.parents_of(id).to_vec(),
                 graph.children_of(id).to_vec(),
-                g.value_of(instance, node).map(f64::to_bits),
+                g.value_of(instance, &node).map(f64::to_bits),
             )
         })
         .collect()
@@ -222,14 +223,13 @@ fn skewed_workload_is_balanced_and_bit_identical() {
     rayon::set_num_threads(0);
     rayon::set_morsel_size(0);
 
-    // Interned node identities keep boxed `GroundedAttr`s off the merge:
-    // a cold streamed ground builds about one per distinct derived node,
-    // never one per grounded row (~140k rows here).
-    let nodes = skewed.graph.node_count() as u64;
-    assert!(
-        constructions <= 2 * nodes + 64,
-        "grounded-attr constructions regressed to per-row allocation: \
-         {constructions} for {nodes} nodes"
+    // The graph stores every node as an (attribute, key signature) label:
+    // a cold streamed ground builds no `GroundedAttr` at all.
+    assert_eq!(
+        constructions,
+        0,
+        "a cold streamed ground of {} nodes built grounded attributes",
+        skewed.graph.node_count()
     );
 
     assert!(
@@ -277,5 +277,36 @@ fn skewed_workload_is_balanced_and_bit_identical() {
     assert!(
         even.executed.iter().all(|ran| ran.len() == n / workers),
         "{even:?}"
+    );
+}
+
+/// The cached read path — `prepare` and `answer` on an engine whose base
+/// grounding and query extensions are already cached — reads nodes by
+/// label and builds no `GroundedAttr`, for each of the review dataset's
+/// queries.
+#[test]
+fn cached_prepare_and_answer_build_no_grounded_attrs() {
+    let _k = hold_knobs();
+    let ds = generate_synthetic_review(&SyntheticReviewConfig {
+        authors: 80,
+        institutions: 8,
+        papers: 400,
+        venues: 5,
+        ..SyntheticReviewConfig::small(5)
+    });
+    let engine = CarlEngine::new(ds.instance, &ds.rules).expect("model binds");
+    assert!(!ds.queries.is_empty());
+    for text in &ds.queries {
+        engine.answer_str(text).expect("cold answer");
+    }
+    carl::reset_grounded_attr_constructions();
+    for text in &ds.queries {
+        let prepared = engine.prepare_str(text).expect("cached prepare");
+        engine.answer_prepared(&prepared).expect("cached answer");
+    }
+    assert_eq!(
+        carl::grounded_attr_constructions(),
+        0,
+        "a cached prepare and answer built grounded attributes"
     );
 }

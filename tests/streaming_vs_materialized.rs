@@ -138,7 +138,7 @@ fn assert_grounding_identical(streamed: &CarlEngine, materialised: &CarlEngine) 
     for id in 0..full.graph.node_count() {
         let node = full.graph.node(id);
         assert_eq!(
-            stream.graph.node_id(node),
+            stream.graph.node_id(&node),
             Some(id),
             "node {node} diverges (ids or insertion order)"
         );
